@@ -20,8 +20,8 @@ After every phase the **consistency oracle** runs:
 Every schedule also runs with the ``repro.analysis`` protocol
 sanitizers attached (``EngineConfig(sanitizers=True)``): 2PL, the WAL
 rule, and conflict serializability are checked over the live trace
-stream, and the suite records a ``sanitizers`` verdict block in
-``results/chaos.json`` (see ``docs/ANALYSIS.md``).
+stream, and the suite records a ``sanitizers`` verdict block in its
+result document (see ``docs/ANALYSIS.md``).
 
 Recovery is part of the attack surface (PR 5): the menu arms
 ``wal.corrupt`` (bit flips in the durable stream, salvaged at the next
@@ -41,8 +41,8 @@ Companion demonstrations make the harness's verdict meaningful:
   user-visible aborts once automatic retry is on, with the retry and
   backoff histograms landing in ``db.stats()["retries"]``.
 
-Run:  python benchmarks/chaos.py           (full: 50 schedules)
-      make chaos-smoke                     (bounded: 12 schedules)
+Run:  python benchmarks/chaos.py   (full: 50 schedules, results/chaos.json)
+      make chaos-smoke             (bounded: 12, results/chaos_smoke.json)
 """
 
 import pathlib
@@ -521,8 +521,9 @@ def scenario():
 
 
 def smoke():
-    """The bounded tier for ``make chaos-smoke``: 12 schedules, <60 s."""
-    return run_suite(12)
+    """The bounded tier for ``make chaos-smoke``: 12 schedules, <60 s,
+    written to its own document so it never overwrites the full tier's."""
+    return run_suite(12, name="chaos_smoke")
 
 
 if __name__ == "__main__":

@@ -49,11 +49,6 @@ status 1 on any finding), via ``make lint``, or programmatically through
   transport, so the ``net.*`` fault sites see every protocol message.
   Construction, schema fan-out, folded reads, and operator accessors
   may still hold the engine list.
-* **view-entry-point** — the deprecated ``create_*_view`` wrappers are
-  not called by engine or client code; views are created through
-  ``Database.create_view`` (a definition or ``CREATE INDEXED VIEW``
-  SQL) or ``Database.execute``. The wrappers stay for downstream
-  compatibility; tests may still exercise them.
 """
 
 import ast
@@ -72,7 +67,6 @@ RULES = (
     "page-discipline",
     "dist-isolation",
     "transport-discipline",
-    "view-entry-point",
 )
 
 #: a constant-propagation cell bound more than once with different
@@ -87,13 +81,6 @@ _ERRORS_MODULE = ("common", "errors.py")
 #: sanitizers and static analyzer are measurement surfaces, not engine
 #: internals.
 _BENCH_EXTRA_SURFACE = "repro.analysis"
-
-#: the deprecated view-creation wrappers; ``Database.create_view`` (or
-#: ``execute`` with CREATE INDEXED VIEW SQL) is the supported entry.
-_DEPRECATED_VIEW_ENTRY_POINTS = frozenset(
-    {"create_aggregate_view", "create_join_view", "create_projection_view",
-     "create_join_aggregate_view"}
-)
 
 #: attribute-call names that mutate a page or its durable image
 #: directly; allowed only inside the page layer itself.
@@ -433,18 +420,6 @@ class _FileLinter(ast.NodeVisitor):
                     f"direct page mutation .{func.attr}() outside the "
                     f"page layer; go through BufferPool.record_* so the "
                     f"dirty-page table and WAL-before-write hold",
-                )
-            if (
-                "view-entry-point" in self.rules
-                and (self.engine or self.client)
-                and func.attr in _DEPRECATED_VIEW_ENTRY_POINTS
-            ):
-                self.flag(
-                    node,
-                    "view-entry-point",
-                    f"call to deprecated .{func.attr}(); create views "
-                    f"through Database.create_view (definition or CREATE "
-                    f"INDEXED VIEW SQL) or Database.execute",
                 )
         self.generic_visit(node)
 

@@ -101,7 +101,6 @@ from repro.dist import (
 )
 from repro.faults import FAULT_SITES, FaultInjector, FaultSpec
 from repro.integrity import Damage, IntegrityReport, check_database
-from repro.metrics import Counters, Histogram, format_table
 from repro.obs import (
     EVENT_TYPES,
     NET_STATS_FIELDS,
@@ -109,8 +108,11 @@ from repro.obs import (
     RESULT_SCHEMA_VERSION,
     SALVAGE_REPORT_FIELDS,
     STATIC_REPORT_FIELDS,
+    Counters,
     EngineMetrics,
+    Histogram,
     Tracer,
+    format_table,
     validate_recovery_report,
     validate_result,
     validate_static_report,

@@ -92,6 +92,13 @@ class Catalog:
                 raise CatalogError(
                     f"view {view.name!r} references unknown table {base!r}"
                 )
+        for table, declared in view.declared_keys():
+            actual = self._tables[table].primary_key
+            if tuple(declared) != actual:
+                raise CatalogError(
+                    f"view {view.name!r} declares primary key {declared!r} "
+                    f"for table {table!r}, whose primary key is {actual!r}"
+                )
         self._views[view.name] = view
         for base in view.base_tables():
             self._views_by_base.setdefault(base, []).append(view)

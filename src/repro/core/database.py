@@ -51,20 +51,13 @@ from repro.locking.keyrange import (
     locks_for_update,
     table_resource,
 )
-from repro.metrics import Counters
-from repro.obs import EngineMetrics, RetryStats, Tracer
+from repro.obs import Counters, EngineMetrics, RetryStats, Tracer
 from repro.storage import Index
 from repro.storage.bufferpool import BufferPool, PageManager, PageStore
 from repro.storage.records import VersionedRecord
 from repro.txn import LockPolicy, SnapshotRegistry, TransactionManager
 from repro.views.actions import Action, run_actions
-from repro.views.definition import (
-    AggregateView,
-    JoinAggregateView,
-    JoinView,
-    ProjectionView,
-    is_aggregate_kind,
-)
+from repro.views.definition import is_aggregate_kind
 from repro.views.deferred import DeferredMaintainer
 from repro.views.delta import TxnViewDeltas
 from repro.views.join import leftfk_index_name, secondary_index_name
@@ -247,81 +240,6 @@ class Database(RecoveryTarget):
         )
         return schema
 
-    def create_aggregate_view(self, name, base, group_by, aggregates,
-                              where=None, bounds=None, *, unique=True,
-                              deferred=False):
-        """Create a GROUP BY view; returns the
-        :class:`~repro.views.definition.ViewDefinition`.
-
-        .. deprecated::
-            The four ``create_*_view`` wrappers are legacy entry points;
-            new code should call :meth:`create_view` with either a
-            ``CREATE INDEXED VIEW ...`` SQL string or a constructed
-            definition (the ``view-entry-point`` lint rule flags internal
-            callers).
-
-        All four ``create_*_view`` methods share the keyword tail
-        ``where=``, ``unique=``, ``deferred=``: ``where`` filters base
-        rows, ``unique`` records the (always-satisfied) key-uniqueness of
-        the view index for parity with :meth:`create_secondary_index`,
-        and ``deferred=True`` routes this one view's maintenance through
-        the deferred maintainer even when the global
-        ``maintenance_mode`` is immediate (refresh with
-        :meth:`refresh_view`).
-        """
-        view = AggregateView(name, base, group_by, aggregates, where, bounds)
-        return self.create_view(view, unique=unique, deferred=deferred)
-
-    def create_join_view(self, name, left, right, on, columns, where=None,
-                         *, unique=True, deferred=False):
-        """Create a foreign-key join view; returns the
-        :class:`~repro.views.definition.ViewDefinition`. Shares the
-        keyword tail (and deprecation) of :meth:`create_aggregate_view`;
-        prefer :meth:`create_view`."""
-        view = JoinView(
-            name,
-            left,
-            right,
-            on,
-            left_pk=self.catalog.table(left).primary_key,
-            right_pk=self.catalog.table(right).primary_key,
-            columns=columns,
-            where=where,
-        )
-        return self.create_view(view, unique=unique, deferred=deferred)
-
-    def create_projection_view(self, name, base, columns, where=None,
-                               *, unique=True, deferred=False):
-        """Create a projection view; returns the
-        :class:`~repro.views.definition.ViewDefinition`. Shares the
-        keyword tail (and deprecation) of :meth:`create_aggregate_view`;
-        prefer :meth:`create_view`."""
-        view = ProjectionView(
-            name, base, self.catalog.table(base).primary_key, columns, where
-        )
-        return self.create_view(view, unique=unique, deferred=deferred)
-
-    def create_join_aggregate_view(self, name, left, right, on, group_by,
-                                   aggregates, where=None, bounds=None,
-                                   *, unique=True, deferred=False):
-        """Create a join-aggregate view; returns the
-        :class:`~repro.views.definition.ViewDefinition`. Shares the
-        keyword tail (and deprecation) of :meth:`create_aggregate_view`;
-        prefer :meth:`create_view`."""
-        view = JoinAggregateView(
-            name,
-            left,
-            right,
-            on,
-            left_pk=self.catalog.table(left).primary_key,
-            right_pk=self.catalog.table(right).primary_key,
-            group_by=group_by,
-            aggregates=aggregates,
-            where=where,
-            bounds=bounds,
-        )
-        return self.create_view(view, unique=unique, deferred=deferred)
-
     def create_secondary_index(self, table, name, columns, unique=False):
         """Create a secondary index on a base table; ``unique=True``
         enforces the constraint (see :mod:`repro.core.secondary`)."""
@@ -341,9 +259,14 @@ class Database(RecoveryTarget):
         or a ``CREATE [UNIQUE] INDEXED VIEW ... AS SELECT ...`` SQL string
         (compiled through :func:`repro.sql.compile_view`; the statement's
         ``UNIQUE`` and ``WITH (...)`` options override the keyword
-        arguments). ``online=True`` builds the view without blocking
-        writers: snapshot scan, WAL catch-up, then a short lock-protected
-        flip (see :mod:`repro.views.online`).
+        arguments). ``unique`` records the (always-satisfied)
+        key-uniqueness of the view index for parity with
+        :meth:`create_secondary_index`; ``deferred=True`` routes this one
+        view's maintenance through the deferred maintainer even when the
+        global ``maintenance_mode`` is immediate (refresh with
+        :meth:`refresh_view`). ``online=True`` builds the view without
+        blocking writers: snapshot scan, WAL catch-up, then a short
+        lock-protected flip (see :mod:`repro.views.online`).
 
         DDL is not logged: recovery re-creates the schema from the
         catalog, then replays the data log — except an *online* build,
@@ -352,20 +275,13 @@ class Database(RecoveryTarget):
         build commit is durable, make it vanish otherwise).
         """
         if not hasattr(view, "kind"):  # SQL text or a parsed statement
-            from repro.sql import ast as sql_ast
-            from repro.sql import bind_options, compile_view, parse_one
+            from repro.sql import bind_options
 
-            stmt = parse_one(view) if isinstance(view, str) else view
-            if not isinstance(stmt, sql_ast.CreateView):
-                raise UnsupportedSqlError(
-                    "create_view expects a CREATE INDEXED VIEW statement; "
-                    f"got {type(stmt).__name__}", *stmt.pos
-                )
+            stmt, view = self._compile_view_sql(view, "create_view")
             opts = bind_options(stmt)
             unique = stmt.unique
             deferred = opts.get("deferred", deferred)
             online = opts.get("online", online)
-            view = compile_view(stmt, self.catalog)
         if online:
             if deferred:
                 raise CatalogError(
@@ -387,18 +303,23 @@ class Database(RecoveryTarget):
         writers between phases; :meth:`create_view` with ``online=True``
         is the one-shot form."""
         if not hasattr(view, "kind"):
-            from repro.sql import ast as sql_ast
-            from repro.sql import compile_view, parse_one
-
-            stmt = parse_one(view) if isinstance(view, str) else view
-            if not isinstance(stmt, sql_ast.CreateView):
-                raise UnsupportedSqlError(
-                    "begin_online_build expects a CREATE INDEXED VIEW "
-                    f"statement; got {type(stmt).__name__}", *stmt.pos
-                )
+            stmt, view = self._compile_view_sql(view, "begin_online_build")
             unique = stmt.unique
-            view = compile_view(stmt, self.catalog)
         return OnlineViewBuilder(self, view, unique=unique)
+
+    def _compile_view_sql(self, view, caller):
+        """Parse (unless already parsed) and compile CREATE INDEXED VIEW
+        SQL for ``caller``; returns ``(statement, definition)``."""
+        from repro.sql import ast as sql_ast
+        from repro.sql import compile_view, parse_one
+
+        stmt = parse_one(view) if isinstance(view, str) else view
+        if not isinstance(stmt, sql_ast.CreateView):
+            raise UnsupportedSqlError(
+                f"{caller} expects a CREATE INDEXED VIEW statement; "
+                f"got {type(stmt).__name__}", *stmt.pos
+            )
+        return stmt, compile_view(stmt, self.catalog)
 
     def _create_view_indexes(self, view):
         """Build the (empty) index family a view owns: its primary view
@@ -511,7 +432,8 @@ class Database(RecoveryTarget):
     # SQL surface
     # ==================================================================
 
-    def execute(self, sql, txn=None):
+    def execute(self, sql, txn=None, *, _policy=LockPolicy.NOWAIT,
+                _isolation="serializable"):
         """Execute a SQL script; returns the last statement's result.
 
         The canonical surface: DDL (``CREATE TABLE``, ``CREATE INDEXED
@@ -523,7 +445,9 @@ class Database(RecoveryTarget):
         With ``txn=None`` each DML/SELECT statement autocommits in its
         own transaction; pass an open transaction to run the script
         inside it (DDL always runs outside any transaction — it is not
-        logged and cannot roll back).
+        logged and cannot roll back). ``_policy`` / ``_isolation`` are the
+        autocommit transactions' :meth:`begin` arguments; a
+        :class:`~repro.core.session.Session` passes its own.
         """
         from repro.sql import ast as sql_ast
         from repro.sql import execute_statement, parse
@@ -544,14 +468,14 @@ class Database(RecoveryTarget):
                 txn.require_active()
                 result = execute_statement(self, txn, stmt)
             else:
-                result = self._execute_autocommit(stmt)
+                result = self._execute_autocommit(stmt, _policy, _isolation)
         return result
 
-    def _execute_autocommit(self, stmt):
+    def _execute_autocommit(self, stmt, policy, isolation):
         from repro.sql import execute_statement
         from repro.txn.transaction import TxnState
 
-        txn = self._begin_txn()
+        txn = self.begin(policy=policy, isolation=isolation)
         try:
             result = execute_statement(self, txn, stmt)
             self.commit(txn)
@@ -651,28 +575,19 @@ class Database(RecoveryTarget):
     # ==================================================================
 
     def session(self, isolation="serializable", policy=LockPolicy.NOWAIT):
-        """The canonical entry point: a connection-like wrapper with an
-        implicit current transaction and autocommit statements (see
-        :mod:`repro.core.session`). ``begin()`` and ``transaction()``
-        both route through it and accept the same ``policy=`` /
-        ``isolation=`` keywords."""
+        """A connection-like wrapper with an implicit current transaction
+        and autocommit statements (see :mod:`repro.core.session`). It
+        accepts the same ``policy=`` / ``isolation=`` keywords as
+        :meth:`begin`, which it calls to open its transactions."""
         from repro.core.session import Session
 
         return Session(self, isolation=isolation, policy=policy)
 
     def begin(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
-        """Start and return a bare transaction handle.
-
-        .. deprecated:: prefer ``db.session(...).begin()`` (or
-           :meth:`transaction` / :meth:`run_transaction`); ``begin()``
-           remains as a shorthand and simply routes through
-           :meth:`session`.
-        """
-        return self.session(isolation=isolation, policy=policy).begin()
-
-    def _begin_txn(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
-        """Internal begin, used by Session and the engine's own loops —
-        the one place that talks to the transaction manager directly."""
+        """Start and return a bare transaction handle — the transaction
+        primitive every other entry point (:meth:`session`,
+        :meth:`transaction`, :meth:`run_transaction`, autocommit
+        :meth:`execute`, the simulator) opens its transactions with."""
         return self._txns.begin(policy=policy, isolation=isolation)
 
     def begin_system(self):
@@ -829,7 +744,7 @@ class Database(RecoveryTarget):
         attempt = 0
         while True:
             attempt += 1
-            txn = self._begin_txn(policy=policy, isolation=isolation)
+            txn = self.begin(policy=policy, isolation=isolation)
             try:
                 result = fn(txn)
                 if txn.state is TxnState.ACTIVE:
@@ -871,11 +786,7 @@ class Database(RecoveryTarget):
 
     def transaction(self, policy=LockPolicy.NOWAIT, isolation="serializable"):
         """Context manager: commit on clean exit, abort on exception.
-
-        .. deprecated:: prefer ``db.session(...)`` and its statement
-           methods, or :meth:`run_transaction` for retry-safe bodies;
-           ``transaction()`` remains as a shorthand and routes through
-           :meth:`session`.
+        :meth:`run_transaction` is the retry-safe form.
 
         >>> db = Database(); _ = db.create_table("t", ("a",), ("a",))
         >>> with db.transaction() as txn:
@@ -1603,25 +1514,6 @@ class Database(RecoveryTarget):
         self.log.crash()
         return self._rebuild_from_log()
 
-    def dump_wal(self, path):
-        """Persist the flushed log prefix as JSON lines (durability across
-        process restarts; pair with :meth:`load_wal_and_recover`)."""
-        self.log.flush()
-        self.log.dump(path)
-
-    def load_wal_and_recover(self, path):
-        """Replace the log with a previously dumped one and rebuild all
-        state from it.
-
-        DDL is not logged (see :meth:`create_view`), so the receiving
-        database must already have the same tables and views registered —
-        the usual pattern is: build the schema, then restore.
-        """
-        self.log = LogManager.load(
-            path, checksums=self.config.wal_checksums
-        )
-        return self._rebuild_from_log()
-
     def dump_wal_segments(self, directory):
         """Persist the flushed log prefix as a chain of fixed-size
         segment files with CRC trailers (``wal.NNNNN.seg``; see
@@ -1635,10 +1527,12 @@ class Database(RecoveryTarget):
 
     def load_wal_segments_and_recover(self, directory):
         """Rebuild all state from a segment chain written by
-        :meth:`dump_wal_segments`. As with :meth:`load_wal_and_recover`,
-        DDL is not logged — build the schema first, then restore. A
-        broken chain (bad trailer CRC, lost segment) is truncated at the
-        break and the loss lands in the salvage report."""
+        :meth:`dump_wal_segments`. DDL is not logged (see
+        :meth:`create_view`), so the receiving database must already have
+        the same tables and views registered — build the schema first,
+        then restore. A broken chain (bad trailer CRC, lost segment) is
+        truncated at the break and the loss lands in the salvage report.
+        """
         self.log = load_segments(
             directory, checksums=self.config.wal_checksums
         )

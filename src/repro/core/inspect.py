@@ -7,7 +7,7 @@ text — the `sys.dm_tran_locks` / `sp_who2` of this reproduction. Used by
 tests, handy in a REPL, and printable from examples.
 """
 
-from repro.metrics import format_table
+from repro.obs.metrics import format_table
 
 
 def lock_table(db):

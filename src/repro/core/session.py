@@ -49,7 +49,7 @@ class Session:
         """Start an explicit transaction (error if one is open)."""
         if self.in_transaction():
             raise TransactionStateError("session already has an open transaction")
-        self._txn = self._db._begin_txn(
+        self._txn = self._db.begin(
             policy=self.policy, isolation=self.isolation
         )
         return self._txn
@@ -123,7 +123,7 @@ class Session:
     def _run(self, fn):
         if self.in_transaction():
             return fn(self._txn)
-        txn = self._db._begin_txn(policy=self.policy, isolation=self.isolation)
+        txn = self._db.begin(policy=self.policy, isolation=self.isolation)
         try:
             result = fn(txn)
             self._db.commit(txn)
@@ -136,28 +136,14 @@ class Session:
             raise
 
     def execute(self, sql):
-        """Execute SQL in this session: inside the current transaction
-        when one is open, autocommit otherwise. DDL always routes to
-        :meth:`Database.execute` outside any transaction (DDL is not
-        logged and cannot roll back)."""
-        from repro.sql import ast as sql_ast
-        from repro.sql import execute_statement, parse
-
-        result = None
-        for stmt in parse(sql):
-            if isinstance(stmt, sql_ast.CreateTable):
-                result = self._db.create_table(
-                    stmt.name, stmt.columns, stmt.primary_key
-                )
-            elif isinstance(stmt, sql_ast.CreateView):
-                result = self._db.create_view(stmt)
-            else:
-                result = self._run(
-                    lambda txn, stmt=stmt: execute_statement(
-                        self._db, txn, stmt
-                    )
-                )
-        return result
+        """Execute SQL in this session through :meth:`Database.execute`:
+        inside the current transaction when one is open, autocommit
+        otherwise with the session's policy and isolation (DDL always
+        runs outside any transaction)."""
+        return self._db.execute(
+            sql, self._txn if self.in_transaction() else None,
+            _policy=self.policy, _isolation=self.isolation,
+        )
 
     def insert(self, table, values):
         return self._run(lambda txn: self._db.insert(txn, table, values))

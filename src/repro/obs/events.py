@@ -181,7 +181,8 @@ EVENT_TYPES = {
         "category": "recovery",
         "fields": {
             "truncated_lsn": "LSN of the first corrupt record, where the "
-            "log was cut (None when only the file tail was undecodable)",
+            "log was cut (None when only a dumped segment chain lost "
+            "records)",
             "dropped": "records discarded by the truncation",
             "lost_commits": "txn ids whose committed work was rolled back",
             "tail_garbage": "dropped records belonging to no lost commit",

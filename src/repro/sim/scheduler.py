@@ -32,7 +32,7 @@ retry budget. Identical inputs give identical runs, tick for tick.
 """
 
 from repro.common import DeterministicRng, ReproError, StorageError, TransactionAborted
-from repro.metrics import Counters, Histogram
+from repro.obs.metrics import Counters, Histogram
 from repro.txn import LockPolicy, WouldWait
 
 
@@ -405,7 +405,7 @@ class Scheduler:
                 session.state = "done"
                 return
             session.generator = session.program_factory()
-            session.txn = db._begin_txn(
+            session.txn = db.begin(
                 policy=LockPolicy.COOPERATIVE, isolation=session.isolation
             )
             session.pending_op = None

@@ -60,6 +60,11 @@ class ViewDefinition:
     def base_tables(self):
         raise NotImplementedError
 
+    def declared_keys(self):
+        """``(table, primary_key)`` pairs the definition was built with;
+        :meth:`Catalog.add_view` checks them against the tables."""
+        return ()
+
     def key_of(self, row):
         """The view-index key of a view row."""
         return tuple(row[c] for c in self.key_columns)
@@ -209,6 +214,9 @@ class JoinView(ViewDefinition):
     def base_tables(self):
         return (self.left, self.right)
 
+    def declared_keys(self):
+        return ((self.left, self.left_pk), (self.right, self.right_pk))
+
     def left_fk_of(self, left_row):
         """The right-table key matched by a left row."""
         return tuple(left_row[lc] for lc, _ in self.on)
@@ -290,6 +298,9 @@ class JoinAggregateView(ViewDefinition):
     def base_tables(self):
         return (self.left, self.right)
 
+    def declared_keys(self):
+        return ((self.left, self.left_pk), (self.right, self.right_pk))
+
     def has_extremes(self):
         return False
 
@@ -338,6 +349,9 @@ class ProjectionView(ViewDefinition):
 
     def base_tables(self):
         return (self.base,)
+
+    def declared_keys(self):
+        return ((self.base, self.key_columns),)
 
     def relevant(self, base_row):
         return self.where is None or self.where(base_row)

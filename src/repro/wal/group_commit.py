@@ -37,7 +37,7 @@ hands the non-durable tickets to ``failure_handler`` (installed by
 
 from repro.common import FaultInjected, SimulatedCrash
 from repro.faults import NULL_INJECTOR
-from repro.metrics import Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -80,7 +80,7 @@ class GroupCommitCoordinator:
 
     def __init__(self, log, clock, policy=None, size=8, latency=16,
                  tracer=NULL_TRACER, faults=None):
-        self.log = log  # reattached by Database after load_wal_and_recover
+        self.log = log  # reattached by Database after a segment-chain load
         self._clock = clock
         self.policy = policy  # None | "size" | "latency"
         self.size = size

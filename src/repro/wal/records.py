@@ -54,7 +54,7 @@ class LogRecord:
 
     ``stored_crc`` is the checksum the durable stream carries for this
     record: the log manager stamps it when the record becomes durable
-    (and ``dump``/``load`` round-trip it), so any later divergence
+    (and the segment chain round-trips it), so any later divergence
     between the payload and the stamp — a bit flip "on disk" — is
     detectable by :meth:`verify_checksum` during the salvage scan.
     """

@@ -145,15 +145,16 @@ def salvage(log, verify=True):
     when there was nothing to salvage:
 
     * ``truncated_lsn`` / ``corrupt_record`` — where the cut happened and
-      the record type found corrupt (``None`` if only the file tail was
-      undecodable);
+      the record type found corrupt (``None`` if only the dumped chain
+      lost records);
     * ``dropped_records`` — records discarded by the cut;
     * ``lost_commits`` — txn ids whose COMMIT record fell past the cut:
       *committed work was rolled back*, the honest-loss case;
     * ``tail_garbage`` — dropped records belonging to no lost commit
       (uncommitted tail work recovery would have undone anyway);
-    * ``undecodable_lines`` — file lines ``LogManager.load`` could not
-      decode at all (torn tail of a dumped log).
+    * ``undecodable_lines`` — record lines
+      :func:`~repro.wal.segments.load_segments` could not trust (a torn,
+      CRC-failed or lost segment of a dumped chain).
 
     With ``verify=False`` (checksums disabled) the scan is skipped — the
     negative control proving corruption then goes undetected here and

@@ -1,15 +1,13 @@
 """Segmented on-disk WAL: fixed-size segments with CRC trailers.
 
-The single-file JSON-lines dump (``LogManager.dump``) scales poorly and
-can only ever be truncated as a whole; real logs are a chain of
-fixed-size segment files that are sealed, verified, and recycled
-independently. This module gives the simulated engine that shape
+The log's one durable format: like a real log, a chain of fixed-size
+segment files that are sealed, verified, and recycled independently
 (formats pinned in ``docs/STORAGE.md``):
 
 * ``wal.00001.seg``, ``wal.00002.seg``, … — each segment holds a JSON
   **header line** (``segment``, ``first_lsn``), a run of record lines
-  identical to the single-file dump (each carrying the record's durable
-  CRC stamp from PR-5), and a JSON **trailer line** (``segment``,
+  (one ``LogRecord.to_dict()`` per line, carrying the record's durable
+  CRC stamp), and a JSON **trailer line** (``segment``,
   ``records``, ``last_lsn``, ``crc``) whose CRC-32 covers the segment
   body — a torn segment tail or a bit flip fails the trailer check and
   the segment (plus everything after it) is dropped, never replayed.

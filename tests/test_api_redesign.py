@@ -1,9 +1,9 @@
 """The supported API surface: the ``repro.api`` facade, the unified
-transaction entry points, and the shared ``create_*_view`` keyword tail.
+transaction entry points, and the ``create_view`` keyword tail.
 
-``db.session()`` is canonical; ``begin()`` and ``transaction()`` are
-retained shorthands that route through it. All four view-DDL methods
-share ``where=`` / ``unique=`` / ``deferred=`` and return the
+``begin()`` is the transaction primitive; ``session()`` and
+``transaction()`` open their transactions through it. ``create_view``
+takes every view kind with ``unique=`` / ``deferred=`` and returns the
 :class:`~repro.views.definition.ViewDefinition`. ``examples/`` and
 ``benchmarks/`` may import only ``repro`` / ``repro.api`` — a rule
 ``benchmarks/check_results.py`` enforces and this module re-checks.
@@ -16,6 +16,12 @@ from repro.core import Database, EngineConfig
 from repro.core.session import Session
 from repro.query import AggregateSpec
 from repro.txn.transaction import LockPolicy
+from repro.views import (
+    AggregateView,
+    JoinAggregateView,
+    JoinView,
+    ProjectionView,
+)
 from repro.views.definition import ViewDefinition
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -55,7 +61,7 @@ class TestFacade:
 
 
 class TestEntryPoints:
-    def test_begin_routes_through_session(self):
+    def test_begin_honours_isolation(self):
         db = sales_db()
         txn = db.begin(isolation="snapshot")
         assert txn.isolation == "snapshot"
@@ -98,20 +104,22 @@ class TestViewDdlKeywordTail:
     def test_all_four_return_view_definition(self):
         db = sales_db()
         views = [
-            db.create_aggregate_view(
+            db.create_view(AggregateView(
                 "agg", "sales", group_by=("product",), aggregates=AGGS
-            ),
-            db.create_join_view(
+            )),
+            db.create_view(JoinView(
                 "join", "sales", "products",
                 on=[("product", "product")],
+                left_pk=("id",), right_pk=("product",),
                 columns=("id", "product", "name"),
-            ),
-            db.create_projection_view("proj", "sales", columns=("id",)),
-            db.create_join_aggregate_view(
+            )),
+            db.create_view(ProjectionView("proj", "sales", ("id",), ("id",))),
+            db.create_view(JoinAggregateView(
                 "joinagg", "sales", "products",
-                on=[("product", "product")], group_by=("name",),
+                on=[("product", "product")],
+                left_pk=("id",), right_pk=("product",), group_by=("name",),
                 aggregates=AGGS,
-            ),
+            )),
         ]
         for view in views:
             assert isinstance(view, ViewDefinition)
@@ -120,8 +128,9 @@ class TestViewDdlKeywordTail:
 
     def test_unique_and_deferred_flags_recorded(self):
         db = sales_db()
-        view = db.create_projection_view(
-            "proj", "sales", columns=("id",), unique=False, deferred=True
+        view = db.create_view(
+            ProjectionView("proj", "sales", ("id",), ("id",)),
+            unique=False, deferred=True,
         )
         assert view.unique is False
         assert view.deferred is True
@@ -130,13 +139,15 @@ class TestViewDdlKeywordTail:
         """``deferred=True`` on one view defers just that view, even when
         the engine-wide maintenance mode is immediate."""
         db = sales_db()  # maintenance_mode defaults to immediate
-        db.create_aggregate_view(
-            "lazy", "sales", group_by=("product",), aggregates=AGGS,
+        db.create_view(
+            AggregateView(
+                "lazy", "sales", group_by=("product",), aggregates=AGGS
+            ),
             deferred=True,
         )
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "eager", "sales", group_by=("product",), aggregates=AGGS,
-        )
+        ))
         session = db.session()
         session.insert("sales", {"id": 1, "product": "ant", "amount": 3})
         assert db.read_committed("eager", ("ant",)) is not None

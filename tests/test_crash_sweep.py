@@ -14,19 +14,21 @@ import pytest
 
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
-from repro.wal import LogManager, RecordType
+from repro.views import AggregateView
+from repro.wal import RecordType
+from repro.wal.segments import load_segments
 
 
 def build_schema(strategy):
     db = Database(EngineConfig(aggregate_strategy=strategy))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "v", "sales", group_by=("product",),
         aggregates=[
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("t", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -62,16 +64,16 @@ def committed_ids_in_prefix(log, limit_lsn):
 def test_recovery_correct_at_every_crash_point(strategy, tmp_path):
     reference = build_schema(strategy)
     run_workload(reference)
-    path = tmp_path / "wal.jsonl"
-    reference.dump_wal(path)
-    full_log = LogManager.load(path)
+    path = tmp_path / "wal"
+    reference.dump_wal_segments(path)
+    full_log = load_segments(path)
     tail = full_log.tail_lsn()
     # sanity: the scenario produced a meaningful log
     assert tail > 30
 
     for crash_lsn in range(0, tail + 1):
         db = build_schema(strategy)
-        db.log = LogManager.load(path)
+        db.log = load_segments(path)
         db.log.flushed_lsn = crash_lsn
         db.log.crash()  # discard everything past the crash point
         report = db._rebuild_from_log()
@@ -99,13 +101,13 @@ def build_fuzzy_schema(strategy):
         )
     )
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "v", "sales", group_by=("product",),
         aggregates=[
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("t", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -146,9 +148,9 @@ def fuzzy_sweep(strategy, tmp_path, workload):
     workload(reference)
     reference.take_checkpoint(kind="fuzzy")
     reference.log.flush()
-    path = tmp_path / "wal.jsonl"
-    reference.dump_wal(path)
-    full_log = LogManager.load(path)
+    path = tmp_path / "wal"
+    reference.dump_wal_segments(path)
+    full_log = load_segments(path)
     tail = full_log.tail_lsn()
     checkpoints = [
         r.lsn for r in full_log.records()
@@ -161,7 +163,7 @@ def fuzzy_sweep(strategy, tmp_path, workload):
     redo_skipped_total = 0
     for crash_lsn in range(0, tail + 1):
         db = build_fuzzy_schema(strategy)
-        db.log = LogManager.load(path)
+        db.log = load_segments(path)
         db.log.flushed_lsn = crash_lsn
         db.log.crash()
         # reconstruct the device: last image per page written while the

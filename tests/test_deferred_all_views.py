@@ -4,6 +4,12 @@ import pytest
 
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec, col_ge
+from repro.views import (
+    AggregateView,
+    JoinAggregateView,
+    JoinView,
+    ProjectionView,
+)
 
 
 def full_schema_db(mode="deferred"):
@@ -14,22 +20,25 @@ def full_schema_db(mode="deferred"):
     db.insert(txn, "customers", {"cid": 1, "region": "eu"})
     db.insert(txn, "customers", {"cid": 2, "region": "us"})
     db.commit(txn)
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_cust", "orders", group_by=("cid",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-    )
-    db.create_join_view(
+    ))
+    db.create_view(JoinView(
         "named", "orders", "customers", on=[("cid", "cid")],
+        left_pk=("oid",), right_pk=("cid",),
         columns=("oid", "cid", "amount", "region"),
-    )
-    db.create_join_aggregate_view(
+    ))
+    db.create_view(JoinAggregateView(
         "by_region", "orders", "customers", on=[("cid", "cid")],
+        left_pk=("oid",), right_pk=("cid",),
         group_by=("region",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-    )
-    db.create_projection_view(
-        "big", "orders", columns=("oid", "amount"), where=col_ge("amount", 50)
-    )
+    ))
+    db.create_view(ProjectionView(
+        "big", "orders", ("oid",), columns=("oid", "amount"),
+        where=col_ge("amount", 50),
+    ))
     return db
 
 

@@ -28,6 +28,7 @@ from repro.dist import (
 from repro.faults import FaultInjector
 from repro.obs import NET_STATS_FIELDS
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 BOUNDS = (250, 500, 750)  # 4 partitions
 ACCOUNTS = "accounts"
@@ -53,10 +54,10 @@ def fleet(boundaries=BOUNDS, **config_kwargs):
         boundaries, EngineConfig(aggregate_strategy="escrow", **config_kwargs)
     )
     db.create_table(ACCOUNTS, ("id", "region", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         TOTALS, ACCOUNTS, ("region",),
         [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-    )
+    ))
     return db
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core import Database, EngineConfig
 from repro.dist import ShardedDatabase, check_conservation
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 BOUNDS = (50, 100, 150)
 REGIONS = ("a", "b", "c")
@@ -39,12 +40,12 @@ def build_pair():
     flat = Database(EngineConfig(aggregate_strategy="escrow"))
     for db in (sharded, flat):
         db.create_table("t", ("id", "region", "amount"), ("id",))
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "v", "t", ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount"),
              AggregateSpec.min_of("lo", "amount"),
              AggregateSpec.max_of("hi", "amount")],
-        )
+        ))
     return sharded, flat
 
 

@@ -5,12 +5,13 @@ import pytest
 from repro.common import Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView, JoinView
 
 
 def sales_db(strategy="escrow", **kwargs):
     db = Database(EngineConfig(aggregate_strategy=strategy, **kwargs))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product",
         "sales",
         group_by=("product",),
@@ -18,7 +19,7 @@ def sales_db(strategy="escrow", **kwargs):
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("total", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -154,10 +155,11 @@ class TestJoinViewRecovery:
         db = Database()
         db.create_table("customers", ("cid", "name"), ("cid",))
         db.create_table("orders", ("oid", "cid", "amount"), ("oid",))
-        db.create_join_view(
+        db.create_view(JoinView(
             "v", "orders", "customers", on=[("cid", "cid")],
+            left_pk=("oid",), right_pk=("cid",),
             columns=("oid", "cid", "amount", "name"),
-        )
+        ))
         return db
 
     def test_join_view_and_aux_indexes_recover(self):

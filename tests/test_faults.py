@@ -23,6 +23,7 @@ from repro.core import Database, EngineConfig
 from repro.faults import FAULT_SITES, FaultInjector, NULL_INJECTOR
 from repro.query import AggregateSpec
 from repro.sim import Scheduler
+from repro.views import AggregateView
 from repro.wal import LogManager
 from repro.wal.records import BeginRecord, InsertRecord
 from repro.workload import BY_PRODUCT, SALES
@@ -31,7 +32,7 @@ from repro.workload import BY_PRODUCT, SALES
 def sales_db(strategy="escrow", **kwargs):
     db = Database(EngineConfig(aggregate_strategy=strategy, **kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -39,7 +40,7 @@ def sales_db(strategy="escrow", **kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 

@@ -16,6 +16,7 @@ from repro.common import FaultInjected, SimulatedCrash
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 from repro.wal import CommitTicket
 
 SALES = "sales"
@@ -27,10 +28,10 @@ def grouped_db(size=2):
         group_commit_size=size,
     ))
     db.create_table(SALES, ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product", SALES, ("product",),
         [AggregateSpec.count(), AggregateSpec.sum_of("revenue", "amount")],
-    )
+    ))
     with db.transaction() as seed:
         db.insert(seed, SALES, {"id": 1, "product": "ant", "amount": 10})
     db.flush_group_commit()

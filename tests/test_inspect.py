@@ -11,15 +11,16 @@ from repro.core.inspect import (
     waits_for_edges,
 )
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 
 def make_db():
     db = Database(EngineConfig())
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product", "sales", group_by=("product",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-    )
+    ))
     return db
 
 

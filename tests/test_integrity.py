@@ -14,13 +14,14 @@ import pytest
 from repro.common import CatalogError, IntegrityError, KeyRange
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec, col_ge
+from repro.views import AggregateView, ProjectionView
 from repro.workload import BY_PRODUCT, SALES
 
 
 def build_db(**kwargs):
     db = Database(EngineConfig(**kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -28,10 +29,11 @@ def build_db(**kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
-    db.create_projection_view(
-        "big_sales", SALES, columns=("id", "amount"), where=col_ge("amount", 15)
-    )
+    ))
+    db.create_view(ProjectionView(
+        "big_sales", SALES, ("id",), columns=("id", "amount"),
+        where=col_ge("amount", 15),
+    ))
     db.create_secondary_index(SALES, "by_customer", ("customer",))
     return db
 

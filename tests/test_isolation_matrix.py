@@ -20,6 +20,7 @@ import pytest
 from repro.common import LockTimeoutError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 
 def make_db(**kwargs):
@@ -148,9 +149,9 @@ class TestPhantomsByLevel:
     def aggregate_db(self):
         db = Database(EngineConfig())
         db.create_table("s", ("id", "g", "x"), ("id",))
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "v", "s", group_by=("g",), aggregates=[AggregateSpec.count("n")]
-        )
+        ))
         with db.transaction() as txn:
             db.insert(txn, "s", {"id": 1, "g": "a", "x": 1})
         return db

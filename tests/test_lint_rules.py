@@ -283,35 +283,6 @@ def test_transport_discipline_exempts_non_protocol_methods(tmp_path):
     assert lint_paths([ok]) == []
 
 
-def test_view_entry_point_fires_in_engine_and_client_code(tmp_path):
-    source = '''
-    def build(db):
-        db.create_aggregate_view("v", "t", group_by=("g",), aggregates=[])
-        db.create_join_view("j", "a", "b", on=())
-    '''
-    for rel in ("src/repro/core/sneaky.py", "benchmarks/sneaky.py"):
-        bad = _plant(tmp_path, rel, source)
-        findings = lint_paths([bad], rules=("view-entry-point",))
-        assert _rules(findings) == {"view-entry-point"}, rel
-        assert len(findings) == 2
-        assert "create_aggregate_view" in findings[0].message
-
-
-def test_view_entry_point_allows_tests_and_the_facade(tmp_path):
-    # The canonical surface passes...
-    ok = _plant(
-        tmp_path, "benchmarks/fine.py",
-        'db.create_view("CREATE INDEXED VIEW v AS SELECT a FROM t")\n',
-    )
-    assert lint_paths([ok], rules=("view-entry-point",)) == []
-    # ...and non-engine, non-client trees (tests/) are out of scope.
-    test_file = _plant(
-        tmp_path, "tests/test_old_api.py",
-        "db.create_projection_view('p', 't', ('a',))\n",
-    )
-    assert lint_paths([test_file], rules=("view-entry-point",)) == []
-
-
 def test_import_surface_flags_from_repro_submodule_form(tmp_path):
     bad = _plant(tmp_path, "examples/bad.py", "from repro import core\n")
     findings = lint_paths([bad])
@@ -333,7 +304,6 @@ def test_rules_tuple_is_the_documented_set():
         "page-discipline",
         "dist-isolation",
         "transport-discipline",
-        "view-entry-point",
     )
 
 

@@ -9,12 +9,13 @@ from repro.locking.escalation import intent_for
 from repro.locking.modes import RangeMode
 from repro.query import AggregateSpec
 from repro.common import ReproError
+from repro.views import AggregateView
 
 
 def sales_db(**kwargs):
     db = Database(EngineConfig(**kwargs))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product",
         "sales",
         group_by=("product",),
@@ -22,7 +23,7 @@ def sales_db(**kwargs):
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("total", "amount"),
         ],
-    )
+    ))
     return db
 
 

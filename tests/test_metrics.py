@@ -1,6 +1,6 @@
 """Tests for counters, histograms, and table formatting."""
 
-from repro.metrics import Counters, Histogram, format_table
+from repro.obs import Counters, Histogram, format_table
 
 
 class TestCounters:

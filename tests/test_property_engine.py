@@ -13,20 +13,21 @@ from hypothesis import strategies as st
 from repro.core import Database, EngineConfig
 from repro.common import StorageError, TransactionAborted
 from repro.query import AggregateSpec, col_ge
+from repro.views import AggregateView, ProjectionView
 
 
 def build_db(strategy):
     db = Database(EngineConfig(aggregate_strategy=strategy))
     db.create_table("t", ("id", "g", "x"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "agg",
         "t",
         group_by=("g",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("s", "x")],
-    )
-    db.create_projection_view(
-        "big", "t", columns=("id", "x"), where=col_ge("x", 5)
-    )
+    ))
+    db.create_view(ProjectionView(
+        "big", "t", ("id",), columns=("id", "x"), where=col_ge("x", 5)
+    ))
     return db
 
 
@@ -155,10 +156,10 @@ class TestViewsAlwaysConsistent:
         db = build_db(strategy)
         run_script(db, script)
         with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "wal.jsonl"
-            db.dump_wal(path)
+            path = pathlib.Path(tmp) / "wal"
+            db.dump_wal_segments(path)
             fresh = build_db(strategy)
-            fresh.load_wal_and_recover(path)
+            fresh.load_wal_segments_and_recover(path)
         db.simulate_crash_and_recover()
         original = {
             key: rec.current_row for key, rec in db.index("agg").scan()

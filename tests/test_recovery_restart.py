@@ -17,7 +17,9 @@ from repro.common import SimulatedCrash
 from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.query import AggregateSpec
-from repro.wal import LogManager, RecordType
+from repro.views import AggregateView
+from repro.wal import RecordType
+from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 
 RECOVERY_SITES = ("recovery.analysis", "recovery.redo", "recovery.undo")
@@ -26,7 +28,7 @@ RECOVERY_SITES = ("recovery.analysis", "recovery.redo", "recovery.undo")
 def build_db(**kwargs):
     db = Database(EngineConfig(**kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -34,7 +36,7 @@ def build_db(**kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -87,11 +89,11 @@ class TestCrashSweep:
     def test_sweep_every_boundary_every_phase(self, tmp_path):
         reference = build_db()
         run_workload(reference)
-        path = tmp_path / "wal.jsonl"
-        reference.dump_wal(path)
+        path = tmp_path / "wal"
+        reference.dump_wal_segments(path)
 
         single_shot = build_db()
-        ref_report = single_shot.load_wal_and_recover(path)
+        ref_report = single_shot.load_wal_segments_and_recover(path)
         ref_state = state_snapshot(single_shot)
         assert ref_report.losers  # the sweep must exercise undo
 
@@ -99,7 +101,7 @@ class TestCrashSweep:
             boundary = 0
             while True:
                 db = build_db()
-                db.log = LogManager.load(path)
+                db.log = load_segments(path)
                 injector = db.install_fault_injector(FaultInjector())
                 injector.arm(site, after=boundary, times=1)
                 report, crashes = recover_until_done(db)
@@ -122,15 +124,15 @@ class TestCrashStorm:
     def test_nested_crashes_converge(self, tmp_path):
         reference = build_db()
         run_workload(reference)
-        path = tmp_path / "wal.jsonl"
-        reference.dump_wal(path)
+        path = tmp_path / "wal"
+        reference.dump_wal_segments(path)
 
         single_shot = build_db()
-        ref_report = single_shot.load_wal_and_recover(path)
+        ref_report = single_shot.load_wal_segments_and_recover(path)
         ref_state = state_snapshot(single_shot)
 
         db = build_db(sanitizers=True)
-        db.log = LogManager.load(path)
+        db.log = load_segments(path)
         injector = db.install_fault_injector(FaultInjector(seed=11))
         schedule = [
             ("recovery.analysis", 2),

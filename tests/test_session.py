@@ -5,15 +5,16 @@ import pytest
 from repro.common import Row, StorageError, TransactionStateError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 
 def sales_db():
     db = Database(EngineConfig())
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "v", "sales", group_by=("product",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-    )
+    ))
     return db
 
 
@@ -109,6 +110,37 @@ class TestSessionIsolation:
         writer.insert("sales", {"id": 2, "product": "a", "amount": 5})
         assert reader.read("v", ("a",))["n"] == 1  # stable snapshot
         reader.commit()
+
+    def test_snapshot_session_autocommit_sql_reads_past_writer(self):
+        db = sales_db()
+        writer = db.session()
+        writer.insert("sales", {"id": 1, "product": "a", "amount": 5})
+        writer.begin()
+        writer.update("sales", (1,), {"amount": 9})  # holds the X lock
+        reader = db.session(isolation="snapshot")
+        rows = reader.execute("SELECT amount FROM sales WHERE id = 1")
+        assert [dict(r) for r in rows] == [{"amount": 5}]
+        writer.commit()
+
+    def test_autocommit_sql_uses_session_policy(self):
+        from repro.txn.transaction import LockPolicy
+
+        db = sales_db()
+        opened = []
+        begin = db.begin
+
+        def recording_begin(**kwargs):
+            opened.append(kwargs)
+            return begin(**kwargs)
+
+        db.begin = recording_begin
+        session = db.session(
+            isolation="snapshot", policy=LockPolicy.COOPERATIVE
+        )
+        session.execute("SELECT * FROM sales WHERE id = 1")
+        assert opened == [
+            {"policy": LockPolicy.COOPERATIVE, "isolation": "snapshot"}
+        ]
 
     def test_two_sessions_conflict_like_transactions(self):
         from repro.common import LockTimeoutError

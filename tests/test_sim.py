@@ -6,13 +6,14 @@ from repro.common import ReproError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.sim import CostModel, Scheduler
+from repro.views import AggregateView
 from repro.workload import BY_PRODUCT, SALES, OrderEntryWorkload
 
 
 def sales_db(strategy="escrow", **kwargs):
     db = Database(EngineConfig(aggregate_strategy=strategy, **kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -20,7 +21,7 @@ def sales_db(strategy="escrow", **kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 

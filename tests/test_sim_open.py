@@ -3,6 +3,7 @@
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.sim import Scheduler
+from repro.views import AggregateView
 from repro.workload import BY_PRODUCT, SALES, OrderEntryWorkload
 
 
@@ -12,13 +13,13 @@ def store(strategy="escrow"):
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
     db.create_table("products", ("product", "name", "category"), ("product",))
     workload.db = db
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT, SALES, group_by=("product",),
         aggregates=[
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db, workload
 
 

@@ -26,6 +26,7 @@ from repro.obs import validate_static_report
 from repro.query import AggregateSpec
 from repro.query.predicates import Predicate
 from repro.txn import LockPolicy
+from repro.views import AggregateView, ProjectionView
 
 
 def escrow_db():
@@ -241,10 +242,10 @@ class TestCheckViewSurface:
     def test_opaque_predicate_reports_sa003(self):
         db = Database()
         db.create_table("t", ("id", "flag"), ("id",))
-        db.create_projection_view(
-            "odd", "t", ("id", "flag"),
+        db.create_view(ProjectionView(
+            "odd", "t", ("id",), ("id", "flag"),
             where=Predicate(lambda row: row["id"] % 2 == 1, "id % 2 = 1"),
-        )
+        ))
         report = db.check_view_static("odd")
         (diag,) = [d for d in report.diagnostics if d.code == "SA003"]
         assert diag.severity == "info"
@@ -290,6 +291,23 @@ class TestCheckViewSurface:
         db = escrow_db()
         with pytest.raises(CatalogError, match="no base table"):
             db.execute("EXPLAIN INSERT INTO ghosts (id) VALUES (1)")
+
+    @pytest.mark.parametrize("sql", [
+        "CHECK VIEW branch_totals",
+        "EXPLAIN INSERT INTO accounts (id, branch, balance) "
+        "VALUES (1, 'b', 10)",
+    ])
+    def test_session_execute_matches_database_execute(self, sql):
+        db = escrow_db()
+        expected = db.execute(sql)
+        session = db.session()
+        autocommit = session.execute(sql)
+        session.begin()
+        in_txn = session.execute(sql)
+        session.commit()
+        for report in (autocommit, in_txn):
+            assert type(report) is type(expected)
+            assert report.render_lines() == expected.render_lines()
 
     def test_shell_prints_check_view_reports(self):
         from repro.sql.shell import main
@@ -367,10 +385,10 @@ class TestShardGate:
 
     def test_non_copartitioned_view_warns_sa020_and_proceeds(self):
         db = self.fleet()
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "totals", "accounts", ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         (diag,) = db.copartition_warnings
         assert diag.code == "SA020" and diag.severity == "warning"
         assert "scatter-gather" in diag.message
@@ -378,7 +396,9 @@ class TestShardGate:
 
     def test_copartitioned_projection_is_silent(self):
         db = self.fleet()
-        db.create_projection_view("flat", "accounts", ("id", "amount"))
+        db.create_view(
+            ProjectionView("flat", "accounts", ("id",), ("id", "amount"))
+        )
         assert db.copartition_warnings == []
 
     def test_join_view_is_refused_with_sa021(self):
@@ -399,20 +419,20 @@ class TestShardGate:
 
     def test_check_view_reports_the_copartition_verdict(self):
         db = self.fleet()
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "totals", "accounts", ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         report = db.check_view("totals")
         assert any(d.code == "SA020" for d in report.diagnostics)
 
     def test_ddl_checks_emit_static_check_events(self):
         db = self.fleet()
         db.tracer.enable()
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "totals", "accounts", ("region",),
             [AggregateSpec.count(), AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         (event,) = db.tracer.events(name="static_check")
         assert event.fields["subject"] == "totals"
         assert event.fields["warnings"] == 1

@@ -7,6 +7,7 @@ from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.txn import SnapshotRegistry, TxnState
 from repro.txn.transaction import LockPolicy
+from repro.views import AggregateView
 
 
 def make_db():
@@ -162,11 +163,11 @@ class TestReadCommittedIsolation:
     def make(self):
         db = Database(EngineConfig())
         db.create_table("sales", ("id", "product", "amount"), ("id",))
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "v", "sales", group_by=("product",),
             aggregates=[AggregateSpec.count("n"),
                         AggregateSpec.sum_of("total", "amount")],
-        )
+        ))
         return db
 
     def test_read_committed_sees_fresh_commits(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.common import CatalogError, LockTimeoutError, Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec, col_ge
+from repro.views import JoinAggregateView
 
 
 def rev_db(strategy="escrow", where=None, **config_kwargs):
@@ -15,18 +16,19 @@ def rev_db(strategy="escrow", where=None, **config_kwargs):
     for cid, region, tier in [(1, "eu", "gold"), (2, "us", "basic"), (3, "eu", "basic")]:
         db.insert(txn, "customers", {"cid": cid, "region": region, "tier": tier})
     db.commit(txn)
-    db.create_join_aggregate_view(
+    db.create_view(JoinAggregateView(
         "rev_by_region",
         "orders",
         "customers",
         on=[("cid", "cid")],
+        left_pk=("oid",), right_pk=("cid",),
         group_by=("region",),
         aggregates=[
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("rev", "amount"),
         ],
         where=where,
-    )
+    ))
     return db
 
 
@@ -40,23 +42,25 @@ class TestDefinition:
         db.create_table("a", ("x", "y"), ("x",))
         db.create_table("b", ("y", "g"), ("y",))
         with pytest.raises(CatalogError):
-            db.create_join_aggregate_view(
-                "v", "a", "b", on=[("y", "y")], group_by=("g",),
+            db.create_view(JoinAggregateView(
+                "v", "a", "b", on=[("y", "y")],
+                left_pk=("x",), right_pk=("y",), group_by=("g",),
                 aggregates=[
                     AggregateSpec.count("n"),
                     AggregateSpec.min_of("m", "x"),
                 ],
-            )
+            ))
 
     def test_count_required(self):
         db = Database()
         db.create_table("a", ("x", "y"), ("x",))
         db.create_table("b", ("y", "g"), ("y",))
         with pytest.raises(CatalogError):
-            db.create_join_aggregate_view(
-                "v", "a", "b", on=[("y", "y")], group_by=("g",),
+            db.create_view(JoinAggregateView(
+                "v", "a", "b", on=[("y", "y")],
+                left_pk=("x",), right_pk=("y",), group_by=("g",),
                 aggregates=[AggregateSpec.sum_of("s", "x")],
-            )
+            ))
 
 
 @pytest.mark.parametrize("strategy", ["escrow", "xlock"])
@@ -206,11 +210,12 @@ class TestMaintenance:
         db.insert(txn, "customers", {"cid": 1, "region": "eu"})
         db.insert(txn, "orders", {"oid": 10, "cid": 1, "amount": 5})
         db.commit(txn)
-        db.create_join_aggregate_view(
+        db.create_view(JoinAggregateView(
             "v", "orders", "customers", on=[("cid", "cid")],
+            left_pk=("oid",), right_pk=("cid",),
             group_by=("region",),
             aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("s", "amount")],
-        )
+        ))
         assert db.read_committed("v", ("eu",)) == Row(region="eu", n=1, s=5)
         assert db.check_all_views() == []
 

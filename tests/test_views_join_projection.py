@@ -5,7 +5,13 @@ import pytest
 from repro.common import Row
 from repro.core import Database, EngineConfig
 from repro.query import col_ge
-from repro.views import leftfk_index_name, secondary_index_name
+from repro.views import (
+    AggregateView,
+    JoinView,
+    ProjectionView,
+    leftfk_index_name,
+    secondary_index_name,
+)
 
 
 def orders_db(**config_kwargs):
@@ -16,13 +22,14 @@ def orders_db(**config_kwargs):
     db.insert(txn, "customers", {"cid": 1, "name": "alice", "tier": "gold"})
     db.insert(txn, "customers", {"cid": 2, "name": "bob", "tier": "basic"})
     db.commit(txn)
-    db.create_join_view(
+    db.create_view(JoinView(
         "orders_named",
         "orders",
         "customers",
         on=[("cid", "cid")],
+        left_pk=("oid",), right_pk=("cid",),
         columns=("oid", "cid", "amount", "name"),
-    )
+    ))
     return db
 
 
@@ -145,10 +152,11 @@ class TestJoinView:
         db.insert(txn, "customers", {"cid": 1, "name": "alice"})
         db.insert(txn, "orders", {"oid": 10, "cid": 1, "amount": 5})
         db.commit(txn)
-        db.create_join_view(
+        db.create_view(JoinView(
             "v", "orders", "customers", on=[("cid", "cid")],
+            left_pk=("oid",), right_pk=("cid",),
             columns=("oid", "cid", "amount", "name"),
-        )
+        ))
         assert db.read_committed("v", (10, 1))["name"] == "alice"
         assert db.check_all_views() == []
 
@@ -159,11 +167,12 @@ class TestJoinView:
         txn = db.begin()
         db.insert(txn, "customers", {"cid": 1, "name": "alice"})
         db.commit(txn)
-        db.create_join_view(
+        db.create_view(JoinView(
             "big", "orders", "customers", on=[("cid", "cid")],
+            left_pk=("oid",), right_pk=("cid",),
             columns=("oid", "cid", "amount", "name"),
             where=col_ge("amount", 50),
-        )
+        ))
         txn = db.begin()
         db.insert(txn, "orders", {"oid": 1, "cid": 1, "amount": 10})
         db.insert(txn, "orders", {"oid": 2, "cid": 1, "amount": 90})
@@ -176,10 +185,34 @@ class TestJoinView:
 def people_db(**config_kwargs):
     db = Database(EngineConfig(**config_kwargs))
     db.create_table("people", ("pid", "name", "age"), ("pid",))
-    db.create_projection_view(
-        "adults", "people", columns=("pid", "name"), where=col_ge("age", 18)
-    )
+    db.create_view(ProjectionView(
+        "adults", "people", ("pid",), columns=("pid", "name"),
+        where=col_ge("age", 18),
+    ))
     return db
+
+
+class TestDeclaredKeys:
+    def test_wrong_left_pk_rejected(self):
+        from repro.common import CatalogError
+
+        db = orders_db()
+        with pytest.raises(CatalogError, match="declares primary key"):
+            db.create_view(JoinView(
+                "v", "orders", "customers", on=[("cid", "cid")],
+                left_pk=("cid",), right_pk=("cid",),
+                columns=("oid", "cid", "amount", "name"),
+            ))
+        assert not db.catalog.has_view("v")
+
+    def test_wrong_projection_pk_rejected(self):
+        from repro.common import CatalogError
+
+        db = orders_db()
+        with pytest.raises(CatalogError, match="declares primary key"):
+            db.create_view(ProjectionView(
+                "p", "orders", ("cid",), columns=("oid", "cid")
+            ))
 
 
 class TestProjectionView:
@@ -264,9 +297,10 @@ class TestProjectionView:
         txn = db.begin()
         db.insert(txn, "people", {"pid": 1, "name": "al", "age": 30})
         db.commit(txn)
-        db.create_projection_view(
-            "adults", "people", columns=("pid", "name"), where=col_ge("age", 18)
-        )
+        db.create_view(ProjectionView(
+            "adults", "people", ("pid",), columns=("pid", "name"),
+            where=col_ge("age", 18),
+        ))
         assert db.read_committed("adults", (1,)) is not None
 
 
@@ -276,17 +310,18 @@ class TestMultipleViewsOneTable:
         db.create_table("sales", ("id", "product", "region", "amount"), ("id",))
         from repro.query import AggregateSpec
 
-        db.create_aggregate_view(
+        db.create_view(AggregateView(
             "by_product", "sales", group_by=("product",),
             aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-        )
-        db.create_aggregate_view(
+        ))
+        db.create_view(AggregateView(
             "by_region", "sales", group_by=("region",),
             aggregates=[AggregateSpec.count("n")],
-        )
-        db.create_projection_view(
-            "big", "sales", columns=("id", "amount"), where=col_ge("amount", 50)
-        )
+        ))
+        db.create_view(ProjectionView(
+            "big", "sales", ("id",), columns=("id", "amount"),
+            where=col_ge("amount", 50),
+        ))
         txn = db.begin()
         db.insert(txn, "sales", {"id": 1, "product": "a", "region": "eu", "amount": 80})
         db.insert(txn, "sales", {"id": 2, "product": "a", "region": "us", "amount": 20})

@@ -8,6 +8,7 @@ from repro.common import StorageError
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
 from repro.storage import BPlusTree
+from repro.views import AggregateView
 from repro.wal import RecordType
 from repro.wal.analysis import (
     bytes_by_type,
@@ -21,10 +22,10 @@ from repro.wal.analysis import (
 def busy_db():
     db = Database(EngineConfig(aggregate_strategy="escrow"))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "v", "sales", group_by=("product",),
         aggregates=[AggregateSpec.count("n"), AggregateSpec.sum_of("t", "amount")],
-    )
+    ))
     t1 = db.begin()
     db.insert(t1, "sales", {"id": 1, "product": "a", "amount": 5})
     db.insert(t1, "sales", {"id": 2, "product": "a", "amount": 7})

@@ -18,6 +18,7 @@ from repro.wal import (
     ReviveRecord,
     UpdateRecord,
 )
+from repro.wal.segments import dump_segments, load_segments
 
 
 class TestAppend:
@@ -197,9 +198,9 @@ class TestSerialization:
         log.append(InsertRecord(1, "t", (1,), Row(a=1)))
         log.append(CommitRecord(1, 5))
         log.flush()
-        path = tmp_path / "wal.jsonl"
-        log.dump(path)
-        loaded = LogManager.load(path)
+        path = tmp_path / "wal"
+        dump_segments(log, path)
+        loaded = load_segments(path)
         assert loaded.tail_lsn() == 3
         assert loaded.flushed_lsn == 3
         types = [r.type for r in loaded.records()]
@@ -210,6 +211,6 @@ class TestSerialization:
         log.append(BeginRecord(1))
         log.flush()
         log.append(BeginRecord(2))
-        path = tmp_path / "wal.jsonl"
-        log.dump(path)
-        assert LogManager.load(path).tail_lsn() == 1
+        path = tmp_path / "wal"
+        dump_segments(log, path)
+        assert load_segments(path).tail_lsn() == 1

@@ -1,16 +1,18 @@
-"""Durability across process restarts: dump the WAL, rebuild elsewhere."""
+"""Durability across process restarts: dump the WAL segment chain,
+rebuild elsewhere."""
 
 import pytest
 
 from repro.common import Row
 from repro.core import Database, EngineConfig
 from repro.query import AggregateSpec
+from repro.views import AggregateView
 
 
 def build_schema(strategy="escrow"):
     db = Database(EngineConfig(aggregate_strategy=strategy))
     db.create_table("sales", ("id", "product", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         "by_product",
         "sales",
         group_by=("product",),
@@ -18,7 +20,7 @@ def build_schema(strategy="escrow"):
             AggregateSpec.count("n"),
             AggregateSpec.sum_of("total", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -29,11 +31,11 @@ class TestWalDumpRestore:
         db.insert(txn, "sales", {"id": 1, "product": "ant", "amount": 30})
         db.insert(txn, "sales", {"id": 2, "product": "ant", "amount": 12})
         db.commit(txn)
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
+        path = tmp_path / "wal"
+        db.dump_wal_segments(path)
 
         fresh = build_schema()  # a new process: schema first, then restore
-        report = fresh.load_wal_and_recover(path)
+        report = fresh.load_wal_segments_and_recover(path)
         assert report.winners
         assert fresh.read_committed("sales", (1,)) == Row(
             id=1, product="ant", amount=30
@@ -50,11 +52,11 @@ class TestWalDumpRestore:
         db.commit(t1)
         t2 = db.begin()
         db.insert(t2, "sales", {"id": 2, "product": "ant", "amount": 99})
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)  # flushes, so t2's records are in the dump
+        path = tmp_path / "wal"
+        db.dump_wal_segments(path)  # flushes, so t2's records are in the dump
 
         fresh = build_schema()
-        report = fresh.load_wal_and_recover(path)
+        report = fresh.load_wal_segments_and_recover(path)
         assert report.losers
         assert fresh.read_committed("sales", (2,)) is None
         assert fresh.read_committed("by_product", ("ant",))["total"] == 30
@@ -65,21 +67,21 @@ class TestWalDumpRestore:
         txn = db.begin()
         db.insert(txn, "sales", {"id": 1, "product": "ant", "amount": 30})
         db.commit(txn)
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
+        path = tmp_path / "wal"
+        db.dump_wal_segments(path)
 
         fresh = build_schema()
-        fresh.load_wal_and_recover(path)
+        fresh.load_wal_segments_and_recover(path)
         # transaction ids and timestamps continue past the restored log
         t2 = fresh.begin()
         fresh.insert(t2, "sales", {"id": 2, "product": "ant", "amount": 12})
         fresh.commit(t2)
         assert fresh.read_committed("by_product", ("ant",))["total"] == 42
         # and the extended log can round-trip again
-        path2 = tmp_path / "wal2.jsonl"
-        fresh.dump_wal(path2)
+        path2 = tmp_path / "wal2"
+        fresh.dump_wal_segments(path2)
         third = build_schema()
-        third.load_wal_and_recover(path2)
+        third.load_wal_segments_and_recover(path2)
         assert third.read_committed("by_product", ("ant",))["total"] == 42
         assert third.check_all_views() == []
 
@@ -88,10 +90,10 @@ class TestWalDumpRestore:
         txn = db.begin()
         db.insert(txn, "sales", {"id": 1, "product": "ant", "amount": 30})
         db.commit(txn)
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
+        path = tmp_path / "wal"
+        db.dump_wal_segments(path)
         fresh = build_schema()
-        fresh.load_wal_and_recover(path)
+        fresh.load_wal_segments_and_recover(path)
         reader = fresh.begin(isolation="snapshot")
         assert fresh.read(reader, "by_product", ("ant",))["total"] == 30
         fresh.commit(reader)
@@ -106,10 +108,10 @@ class TestWalDumpRestore:
         txn = db.begin()
         db.insert(txn, "sales", {"id": 99, "product": "p", "amount": 1})
         db.commit(txn)
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
+        path = tmp_path / "wal"
+        db.dump_wal_segments(path)
         fresh = build_schema()
-        report = fresh.load_wal_and_recover(path)
+        report = fresh.load_wal_segments_and_recover(path)
         assert fresh.read_committed("by_product", ("p",))["n"] == 21
         assert report.analyzed_records < len(fresh.log)
         assert fresh.check_all_views() == []

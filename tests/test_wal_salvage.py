@@ -10,6 +10,8 @@ integrity checker is a real oracle, not a tautology.
 """
 
 import json
+import pathlib
+import zlib
 
 import pytest
 
@@ -18,14 +20,16 @@ from repro.core import Database, EngineConfig
 from repro.faults import FaultInjector
 from repro.obs import validate_recovery_report
 from repro.query import AggregateSpec
-from repro.wal import LogManager, RecordType, salvage
+from repro.views import AggregateView
+from repro.wal import RecordType, salvage
+from repro.wal.segments import load_segments
 from repro.workload import BY_PRODUCT, SALES
 
 
 def sales_db(**kwargs):
     db = Database(EngineConfig(**kwargs))
     db.create_table(SALES, ("id", "product", "customer", "amount"), ("id",))
-    db.create_aggregate_view(
+    db.create_view(AggregateView(
         BY_PRODUCT,
         SALES,
         group_by=("product",),
@@ -33,7 +37,7 @@ def sales_db(**kwargs):
             AggregateSpec.count("n_sales"),
             AggregateSpec.sum_of("revenue", "amount"),
         ],
-    )
+    ))
     return db
 
 
@@ -66,9 +70,9 @@ class TestChecksums:
     def test_dump_load_round_trip_preserves_crc(self, tmp_path):
         db = sales_db()
         commit_sales(db, range(1, 4))
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
-        loaded = LogManager.load(path)
+        path = tmp_path / "wal"
+        db.dump_wal_segments(path)
+        loaded = load_segments(path)
         assert len(loaded) == len(db.log)
         for record in loaded.records():
             assert record.stored_crc is not None
@@ -186,36 +190,46 @@ class TestRecoveryIntegration:
             EngineConfig(salvage_policy="panic")
 
     def test_dump_load_with_tampered_line(self, tmp_path):
-        """On-disk tampering that stays valid JSON is caught by the CRC."""
+        """On-disk tampering that stays valid JSON is caught by the
+        record CRC, even when the segment trailer is re-sealed over it."""
         db = sales_db()
         commit_sales(db, range(1, 4))
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
-        lines = path.read_text().splitlines()
-        doc = json.loads(lines[5])
-        assert doc["crc"] is not None
+        path = tmp_path / "wal"
+        (segment,) = db.dump_wal_segments(path)
+        header, *body, trailer = pathlib.Path(segment).read_text().splitlines()
+        doc = json.loads(body[5])
+        assert doc["lsn"] == 6 and doc["crc"] is not None
         doc["txn_id"] = 999  # payload edit without re-stamping the CRC
-        lines[5] = json.dumps(doc)
-        path.write_text("\n".join(lines) + "\n")
+        body[5] = json.dumps(doc)
+        payload = "\n".join(body) + "\n"
+        seal = json.loads(trailer)
+        seal["crc"] = zlib.crc32(payload.encode("utf-8"))
+        pathlib.Path(segment).write_text(
+            header + "\n" + payload + json.dumps(seal) + "\n"
+        )
         fresh = sales_db()
-        report = fresh.load_wal_and_recover(path)
+        report = fresh.load_wal_segments_and_recover(path)
         assert report.salvage is not None
         assert report.salvage["truncated_lsn"] == 6
         assert fresh.check_all_views() == []
 
     def test_undecodable_tail_is_counted(self, tmp_path):
-        db = sales_db()
-        commit_sales(db, [1, 2])
-        path = tmp_path / "wal.jsonl"
-        db.dump_wal(path)
-        with path.open("a") as fh:
-            fh.write('{"type": "INSERT", "lsn":')  # torn final line
+        db = sales_db(wal_segment_bytes=1024)
+        commit_sales(db, range(1, 9))
+        path = tmp_path / "wal"
+        segments = db.dump_wal_segments(path)
+        assert len(segments) > 1
+        last = pathlib.Path(segments[-1])
+        torn = last.read_text()
+        last.write_text(torn[: len(torn) // 2])  # torn final segment
         fresh = sales_db()
-        report = fresh.load_wal_and_recover(path)
+        report = fresh.load_wal_segments_and_recover(path)
         assert report.salvage is not None
-        assert report.salvage["undecodable_lines"] == 1
+        assert report.salvage["undecodable_lines"] >= 1
         assert report.salvage["truncated_lsn"] is None
         assert fresh.check_all_views() == []
+        # the intact segments before the tear still recover
+        assert fresh.read_committed(SALES, (1,)) is not None
 
 
 class TestCorruptFaultSite:
