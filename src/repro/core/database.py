@@ -1674,8 +1674,6 @@ class Database(RecoveryTarget):
             lsn = last_lsn
             while lsn is not None:
                 record = self.log.record_at(lsn)
-                if record is None:
-                    break
                 first_lsn = record.lsn
                 if isinstance(record, PrepareRecord):
                     gid = record.gid

@@ -227,7 +227,7 @@ class BufferPool:
         ``page_lsn`` before the image may hit the store."""
         page = frame.page
         if self.log is not None and page.page_lsn > self.log.flushed_lsn:
-            self.log.flush_for_writeback(page.page_lsn)
+            self.log.flush_no_faults(page.page_lsn)
             self.forced_wal_flushes += 1
         self.store.write_page(page)
         frame.dirty = False

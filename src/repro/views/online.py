@@ -277,8 +277,6 @@ class OnlineViewBuilder:
         lsn = self.db.log.last_lsn_of(txn_id)
         while lsn is not None:
             record = self.db.log.record_at(lsn)
-            if record is None:
-                break
             if isinstance(record, CompensationRecord):
                 lsn = record.undo_next_lsn
                 continue

@@ -6,8 +6,6 @@ byte accounting; the introspection examples print the summaries; tests
 use the per-transaction footprint to assert logging behaviour precisely.
 """
 
-import json
-
 from repro.wal.records import RecordType
 
 
@@ -20,11 +18,12 @@ def records_by_type(log):
 
 
 def bytes_by_type(log):
-    """Estimated bytes per record type (JSON-encoding proxy, matching
-    ``LogManager.bytes_estimate``)."""
+    """Bytes per record type: the length of each record's one encoding
+    (:meth:`~repro.wal.records.LogRecord.encode`), as summed by
+    ``LogManager.bytes_estimate``."""
     sizes = {}
     for record in log.records():
-        size = len(json.dumps(record.to_dict(), default=str))
+        size = len(record.encode())
         sizes[record.type] = sizes.get(record.type, 0) + size
     return sizes
 
@@ -43,7 +42,7 @@ def txn_footprint(log, txn_id):
         if record.txn_id != txn_id:
             continue
         count += 1
-        size += len(json.dumps(record.to_dict(), default=str))
+        size += len(record.encode())
         index_name = getattr(record, "index_name", None)
         if index_name is not None:
             indexes.add(index_name)

@@ -2,8 +2,16 @@
 
 Assigns LSNs, maintains each transaction's backchain (``prev_lsn``),
 tracks the flushed prefix, and simulates crashes by discarding the
-unflushed suffix. The log lives in memory as record objects; its durable
-form is the segment chain of :mod:`repro.wal.segments`.
+unflushed suffix. The log lives in memory as record objects, dense in
+LSN from a base (1, or the head of a loaded segment chain), so reading
+a record by LSN is an index and reading from an LSN is a slice; its
+durable form is the segment chain of :mod:`repro.wal.segments`.
+
+Each record is encoded once, at append (:meth:`LogRecord.encode`): the
+length of that encoding is the record's logged size and its CRC-32 the
+checksum stamp the salvage pass verifies. Stamping at append rather
+than at flush changes nothing observable — an unflushed record dies at
+:meth:`LogManager.crash` with its stamp.
 
 Flushing policy: :meth:`LogManager.flush` advances ``flushed_lsn`` to the
 log tail. Without group commit the engine forces a flush inside every
@@ -15,30 +23,28 @@ truncates everything beyond the flushed prefix — exactly what a real
 power failure does to an OS page cache.
 """
 
-import json
-
 from repro.common import FaultInjected, WalError
 from repro.faults import NULL_INJECTOR
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER
-from repro.wal.records import CheckpointRecord
+from repro.wal.records import CheckpointRecord, crc
 
 
 class LogManager:
     """Append-only log with per-transaction backchains."""
 
     def __init__(self, tracer=NULL_TRACER, faults=None, checksums=True):
-        self._records = []
-        self._next_lsn = 1
+        self._records = []  # _records[i].lsn == _base_lsn + i
+        self._base_lsn = 1
         self._txn_last_lsn = {}
-        self._txn_bytes = {}  # txn_id -> estimated bytes appended
+        self._txn_bytes = {}  # txn_id -> encoded bytes appended
         self.flushed_lsn = 0
         self.flush_count = 0
         self.flush_records = Histogram()  # records made durable per flush
         self.bytes_estimate = 0
         self.tracer = tracer
         self.faults = faults if faults is not None else NULL_INJECTOR
-        #: stamp a CRC on every record as it becomes durable, so the
+        #: stamp a CRC on every record as it is appended, so the
         #: salvage scan (repro.wal.recovery.salvage) can detect a
         #: corrupted durable stream. EngineConfig(wal_checksums=False)
         #: turns this off — the negative control for salvage honesty.
@@ -84,13 +90,15 @@ class LogManager:
             fail_after_append = self.faults.fires(
                 "wal.append", txn_id=record.txn_id, detail=record_name
             ) is not None
-        record.lsn = self._next_lsn
-        self._next_lsn += 1
+        record.lsn = self._base_lsn + len(self._records)
         if record.txn_id is not None:
             record.prev_lsn = self._txn_last_lsn.get(record.txn_id)
             self._txn_last_lsn[record.txn_id] = record.lsn
         self._records.append(record)
-        size = self._estimate_size(record)
+        encoded = record.encode()
+        if self.checksums:
+            record.stored_crc = crc(encoded)
+        size = len(encoded)
         self.bytes_estimate += size
         if record.txn_id is not None:
             self._txn_bytes[record.txn_id] = (
@@ -115,31 +123,28 @@ class LogManager:
             raise FaultInjected("wal.append", record.txn_id)
         return record.lsn
 
-    @staticmethod
-    def _estimate_size(record):
-        """A stable proxy for on-disk record size: the length of the JSON
-        encoding. Benchmarks use it to compare log volume across logging
-        strategies without caring about a real binary format."""
-        return len(json.dumps(record.to_dict(), default=str))
-
     def last_lsn_of(self, txn_id):
         return self._txn_last_lsn.get(txn_id)
 
     def bytes_of(self, txn_id):
-        """Estimated bytes of every record ``txn_id`` has appended."""
+        """Encoded bytes of every record ``txn_id`` has appended."""
         return self._txn_bytes.get(txn_id, 0)
 
     def tail_lsn(self):
-        return self._next_lsn - 1
+        return self._base_lsn + len(self._records) - 1
 
     # ------------------------------------------------------------------
     # flushing and crash simulation
     # ------------------------------------------------------------------
 
+    def _flush_target(self, up_to_lsn):
+        tail = self.tail_lsn()
+        return tail if up_to_lsn is None else min(up_to_lsn, tail)
+
     def flush(self, up_to_lsn=None):
         """Make the prefix up to ``up_to_lsn`` (default: everything)
         durable."""
-        target = self.tail_lsn() if up_to_lsn is None else min(up_to_lsn, self.tail_lsn())
+        target = self._flush_target(up_to_lsn)
         if target > self.flushed_lsn and self.faults.active:
             if self.faults.fires("wal.torn_tail") is not None:
                 # Torn write: everything but the final record lands.
@@ -157,7 +162,7 @@ class LogManager:
         previous = self.flushed_lsn
         advanced = target - previous
         self.flushed_lsn = target
-        if self.checksums or self.faults.active:
+        if self.faults.active:
             self._harden_records(previous, target)
         self.flush_count += 1
         self.flush_records.observe(advanced)
@@ -169,21 +174,14 @@ class LogManager:
             self.flush_listener(target)
 
     def _harden_records(self, previous, target):
-        """Stamp the checksum of every record that just became durable
-        (``previous < lsn <= target``) and evaluate the ``wal.corrupt``
-        fault site on each — a fired site flips the record's payload
-        *after* the stamp, modelling a bit flip in the durable stream."""
-        newly = []
-        for record in reversed(self._records):
-            if record.lsn > target:
-                continue
-            if record.lsn <= previous:
-                break
-            newly.append(record)
-        for record in reversed(newly):
-            if self.checksums:
-                record.stored_crc = record.checksum()
-            if self.faults.active and self.faults.fires(
+        """Evaluate the ``wal.corrupt`` fault site on every record that
+        just became durable (``previous < lsn <= target``) — a fired site
+        flips the record's payload *after* its append-time stamp,
+        modelling a bit flip in the durable stream."""
+        base = self._base_lsn
+        newly = self._records[max(previous + 1 - base, 0):target + 1 - base]
+        for record in newly:
+            if self.faults.fires(
                 "wal.corrupt", txn_id=record.txn_id,
                 detail=type(record).__name__,
             ) is not None:
@@ -224,65 +222,74 @@ class LogManager:
         """Drop every record with ``lsn >= lsn`` — the salvage cut after
         a failed checksum. Returns the dropped records (newest-last).
         LSNs restart at the cut, exactly as after :meth:`crash`."""
-        dropped = [r for r in self._records if r.lsn >= lsn]
-        self._records = [r for r in self._records if r.lsn < lsn]
-        self._next_lsn = lsn
+        cut = max(lsn - self._base_lsn, 0)
+        dropped = self._records[cut:]
+        del self._records[cut:]
         if self.flushed_lsn >= lsn:
             self.flushed_lsn = lsn - 1
-        self._txn_last_lsn = {}
-        for record in self._records:
-            if record.txn_id is not None:
-                self._txn_last_lsn[record.txn_id] = record.lsn
+        # Re-point the backchain head of every transaction in the dropped
+        # suffix at its newest survivor: the prev_lsn of its oldest
+        # dropped record, which the newest-first walk visits last.
+        for record in reversed(dropped):
+            if record.txn_id is None:
+                continue
+            head = record.prev_lsn
+            if head is None or head < self._base_lsn:
+                self._txn_last_lsn.pop(record.txn_id, None)
+            else:
+                self._txn_last_lsn[record.txn_id] = head
         return dropped
 
-    def flush_for_writeback(self, up_to_lsn):
-        """WAL-before-write: make the prefix up to ``up_to_lsn`` durable
-        so a dirty page whose ``page_lsn`` lies inside it may be written
-        back. Skips the retryable flush fault sites — a page writeback
-        is engine housekeeping, not a commit, and surfacing a retryable
-        fault from inside an eviction would strand the caller's
-        statement mid-mutation."""
-        self._advance_flushed(min(up_to_lsn, self.tail_lsn()))
+    def flush_no_faults(self, up_to_lsn=None):
+        """Make the prefix up to ``up_to_lsn`` (default: everything)
+        durable without evaluating the retryable flush fault sites.
 
-    def flush_no_faults(self):
-        """Advance durability to the tail without evaluating the flush
-        fault sites. Recovery hardens its CLRs through this: a crashed
-        recovery is *re-entered*, never retried, so surfacing a
-        retryable flush fault from inside it would be meaningless."""
-        self._advance_flushed(self.tail_lsn())
+        Recovery hardens its CLRs through this: a crashed recovery is
+        *re-entered*, never retried, so a retryable flush fault from
+        inside it would be meaningless. The buffer pool's WAL-before-write
+        bounds it by a dirty page's ``page_lsn``: a page writeback is
+        engine housekeeping, not a commit, and a retryable fault from
+        inside an eviction would strand the caller's statement
+        mid-mutation."""
+        self._advance_flushed(self._flush_target(up_to_lsn))
 
     def crash(self):
         """Discard the unflushed suffix, as a power failure would.
 
         Returns the list of discarded records (for test assertions).
         """
-        survivors = [r for r in self._records if r.lsn <= self.flushed_lsn]
-        lost = [r for r in self._records if r.lsn > self.flushed_lsn]
-        self._records = survivors
-        self._next_lsn = self.flushed_lsn + 1
-        # Rebuild backchain heads from the surviving records.
+        return self.truncate_from(self.flushed_lsn + 1)
+
+    def restore(self, records):
+        """Install ``records`` — a run with dense, ascending LSNs, such as
+        a decoded segment chain — as the whole log, all of it durable."""
+        if records and records[-1].lsn - records[0].lsn + 1 != len(records):
+            raise WalError("restored records are not dense in LSN")
+        self._records = list(records)
         self._txn_last_lsn = {}
-        for record in survivors:
+        for record in self._records:
             if record.txn_id is not None:
                 self._txn_last_lsn[record.txn_id] = record.lsn
-        return lost
+        if self._records:
+            self._base_lsn = self._records[0].lsn
+            self.flushed_lsn = self._records[-1].lsn
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
 
     def records(self, from_lsn=1):
-        """Iterate records with ``lsn >= from_lsn`` in LSN order."""
-        for record in self._records:
-            if record.lsn >= from_lsn:
-                yield record
+        """Iterate records with ``lsn >= from_lsn`` in LSN order (over a
+        snapshot: appends during the iteration are not seen)."""
+        return iter(self._records[max(from_lsn - self._base_lsn, 0):])
 
     def record_at(self, lsn):
-        """Fetch one record by LSN (binary-search-free: LSNs are dense
-        except after truncation, so scan from an estimate)."""
-        for record in self._records:
-            if record.lsn == lsn:
-                return record
+        """Fetch one record by LSN — an index, since the in-memory log is
+        dense in LSN. Never returns ``None``: an LSN outside the log
+        raises :class:`~repro.common.WalError`."""
+        index = lsn - self._base_lsn
+        if 0 <= index < len(self._records):
+            return self._records[index]
         raise WalError(f"no record with LSN {lsn}")
 
     def latest_checkpoint(self):

@@ -14,17 +14,36 @@ one of the paper's main points:
   value*. Because increments commute, redo and undo are correct under any
   interleaving of escrow holders — this is what makes E locks recoverable.
 
-Every record is serializable to a plain dict (JSON-safe when rows hold
-JSON-safe values) so the log can be persisted and replayed.
-
 Compensation records (:class:`CompensationRecord`) wrap the undo of another
 record; they are redo-only and carry ``undo_next_lsn`` so that a rollback
 interrupted by a crash resumes where it left off, ARIES-style.
+
+Each record class declares its payload exactly once, as an ordered
+``_fields`` tuple of :class:`Field` entries (attribute, JSON key, codec);
+a subclass's fields extend its base's. The constructor, ``__slots__``,
+:meth:`LogRecord.to_dict`, :meth:`LogRecord.from_dict` and the one
+encoding :meth:`LogRecord.encode` — whose length is the record's logged
+size and whose CRC-32 is its durable checksum — are all derived from it:
+
+>>> from repro.common.rows import Row
+>>> record = InsertRecord(7, "sales", (1,), Row(id=1, amount=5))
+>>> record.lsn = 3
+>>> record.to_dict()  # doctest: +NORMALIZE_WHITESPACE
+{'type': 'insert', 'lsn': 3, 'txn_id': 7, 'prev_lsn': None,
+ 'index': 'sales', 'key': [1], 'row': {'id': 1, 'amount': 5}}
+>>> copy = LogRecord.from_dict(record.to_dict())
+>>> (copy.key, copy.row) == ((1,), Row(id=1, amount=5))
+True
+>>> copy.encode() == record.encode()
+True
+>>> len(record.encode())
+120
 """
 
 import enum
 import json
 import zlib
+from collections import namedtuple
 
 from repro.common import WalError
 from repro.common.rows import Row
@@ -49,25 +68,130 @@ class RecordType(enum.Enum):
     DECISION = "decision"
 
 
-class LogRecord:
+def _same(value):
+    return value
+
+
+def _int_keyed(mapping):
+    return {int(k): v for k, v in (mapping or {}).items()}
+
+
+#: How one payload attribute travels: ``init`` normalizes the constructor
+#: argument, ``encode`` maps the attribute to its JSON value, ``decode``
+#: maps the JSON value back.
+Codec = namedtuple("Codec", ("init", "encode", "decode"))
+
+PLAIN = Codec(_same, _same, _same)
+#: plain, but the record keeps its own copy of a caller's container
+DICT = Codec(dict, dict, _same)
+LIST = Codec(list, list, _same)
+#: an index key: a tuple in memory, a list in JSON
+KEY = Codec(_same, list, tuple)
+#: a row image, or ``None``
+ROW = Codec(
+    _same,
+    lambda row: None if row is None else row.as_dict(),
+    lambda data: None if data is None else Row(data),
+)
+#: ``{int: value}`` in memory, string keys in JSON
+INT_KEYED = Codec(
+    _int_keyed, lambda m: {str(k): v for k, v in m.items()}, _int_keyed
+)
+#: an embedded record (a CLR's compensated action)
+RECORD = Codec(
+    _same, lambda record: record.to_dict(), lambda d: LogRecord.from_dict(d)
+)
+
+_REQUIRED = object()
+
+_ENCODER = json.JSONEncoder(default=str)
+
+
+def crc(encoded):
+    """CRC-32 of a record encoding (:meth:`LogRecord.encode`)."""
+    return zlib.crc32(encoded.encode("utf-8"))
+
+
+class Field(namedtuple("Field", ("attr", "key", "codec", "default"))):
+    """One payload attribute: its name, its JSON key (the attribute name
+    unless given) and its :data:`Codec`. A field with a ``default`` is an
+    optional constructor argument, and ``from_dict`` tolerates its key
+    being absent."""
+
+    __slots__ = ()
+
+    def __new__(cls, attr, key=None, codec=PLAIN, default=_REQUIRED):
+        return super().__new__(cls, attr, key or attr, codec, default)
+
+
+#: RecordType -> record class, filled in as the classes are defined
+_RECORD_CLASSES = {}
+
+
+class _RecordMeta(type):
+    """Derives a record class's ``__slots__`` from the fields it declares,
+    extends its base's ``_fields`` with them, and registers the class
+    under the ``type`` it declares."""
+
+    def __new__(mcs, name, bases, namespace):
+        own = namespace.get("_fields", ())
+        namespace.setdefault("__slots__", tuple(f.attr for f in own))
+        cls = super().__new__(mcs, name, bases, namespace)
+        inherited = getattr(bases[0], "_fields", ()) if bases else ()
+        cls._fields = inherited + tuple(own)
+        txn = ("txn_id",) if cls._takes_txn_id else ()
+        cls._params = txn + tuple(f.attr for f in cls._fields)
+        cls._required = txn + tuple(
+            f.attr for f in cls._fields if f.default is _REQUIRED
+        )
+        if namespace.get("type") is not None:
+            _RECORD_CLASSES[cls.type] = cls
+        return cls
+
+
+class LogRecord(metaclass=_RecordMeta):
     """Base class: LSN plus the per-transaction backchain.
 
     ``stored_crc`` is the checksum the durable stream carries for this
-    record: the log manager stamps it when the record becomes durable
-    (and the segment chain round-trips it), so any later divergence
-    between the payload and the stamp — a bit flip "on disk" — is
-    detectable by :meth:`verify_checksum` during the salvage scan.
+    record: the log manager stamps it at append, from the same encoding
+    that sizes the record (and the segment chain round-trips it), so any
+    later divergence between the payload and the stamp — a bit flip "on
+    disk" — is detectable by :meth:`verify_checksum` during the salvage
+    scan.
+
+    The constructor takes ``txn_id`` (unless the class sets
+    ``_takes_txn_id = False``) followed by the ``_fields`` attributes,
+    positionally or by name.
     """
 
     __slots__ = ("lsn", "txn_id", "prev_lsn", "stored_crc")
 
     type = None  # overridden
+    _takes_txn_id = True
+    _fields = ()
 
-    def __init__(self, txn_id):
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        params = self._params
+        if len(args) > len(params):
+            raise TypeError(f"{name}() takes at most {len(params)} arguments")
+        values = dict(zip(params, args))
+        for param, value in kwargs.items():
+            if param not in params or param in values:
+                raise TypeError(
+                    f"{name}() got an unexpected or repeated argument {param!r}"
+                )
+            values[param] = value
+        missing = [param for param in self._required if param not in values]
+        if missing:
+            raise TypeError(f"{name}() missing arguments {missing}")
         self.lsn = None  # assigned by the log manager
-        self.txn_id = txn_id
+        self.txn_id = values.get("txn_id")
         self.prev_lsn = None  # assigned by the log manager
-        self.stored_crc = None  # stamped at flush / loaded from disk
+        self.stored_crc = None  # stamped at append / loaded from disk
+        for field in self._fields:
+            value = values.get(field.attr, field.default)
+            setattr(self, field.attr, field.codec.init(value))
 
     def __repr__(self):
         return (
@@ -99,18 +223,21 @@ class LogRecord:
             "txn_id": self.txn_id,
             "prev_lsn": self.prev_lsn,
         }
-        d.update(self._payload())
+        for field in self._fields:
+            d[field.key] = field.codec.encode(getattr(self, field.attr))
         return d
 
-    def _payload(self):
-        return {}
+    def encode(self):
+        """The record's one JSON encoding: its length is the logged size
+        (``LogManager.bytes_estimate``) and its CRC-32 the durable
+        checksum. It covers the lsn, the backchain and the payload —
+        everything :meth:`to_dict` covers, which is everything recovery
+        consumes."""
+        return _ENCODER.encode(self.to_dict())
 
     def checksum(self):
-        """CRC-32 over the canonical JSON encoding (lsn, backchain, and
-        payload — everything :meth:`to_dict` covers, which is everything
-        recovery consumes)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return zlib.crc32(canonical.encode("utf-8"))
+        """CRC-32 over :meth:`encode`."""
+        return crc(self.encode())
 
     def verify_checksum(self):
         """True when the stored checksum matches the payload (records
@@ -121,83 +248,45 @@ class LogRecord:
     @staticmethod
     def from_dict(d):
         cls = _RECORD_CLASSES[RecordType(d["type"])]
-        record = cls._from_payload(d)
+        record = cls.__new__(cls)
         record.lsn = d["lsn"]
+        record.txn_id = d["txn_id"]
         record.prev_lsn = d["prev_lsn"]
         record.stored_crc = d.get("crc")
+        for field in cls._fields:
+            if field.default is _REQUIRED:
+                value = d[field.key]
+            else:
+                value = d.get(field.key, field.default)
+            setattr(record, field.attr, field.codec.decode(value))
         return record
-
-
-def _row_to_plain(row):
-    return None if row is None else row.as_dict()
-
-
-def _row_from_plain(data):
-    return None if data is None else Row(data)
 
 
 class BeginRecord(LogRecord):
     type = RecordType.BEGIN
-    __slots__ = ("is_system",)
-
-    def __init__(self, txn_id, is_system=False):
-        super().__init__(txn_id)
-        self.is_system = is_system
-
-    def _payload(self):
-        return {"is_system": self.is_system}
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["is_system"])
+    _fields = (Field("is_system", default=False),)
 
 
 class CommitRecord(LogRecord):
     type = RecordType.COMMIT
-    __slots__ = ("commit_ts",)
-
-    def __init__(self, txn_id, commit_ts):
-        super().__init__(txn_id)
-        self.commit_ts = commit_ts
+    _fields = (Field("commit_ts"),)
 
     def _extra_repr(self):
         return f", ts={self.commit_ts}"
-
-    def _payload(self):
-        return {"commit_ts": self.commit_ts}
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["commit_ts"])
 
 
 class AbortRecord(LogRecord):
     type = RecordType.ABORT
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"])
-
 
 class EndRecord(LogRecord):
     type = RecordType.END
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"])
 
+class _IndexRecord(LogRecord):
+    """A data record against one key of one index; every one is undoable."""
 
-class InsertRecord(LogRecord):
-    """A new key inserted into an index. Undo removes it."""
-
-    type = RecordType.INSERT
-    __slots__ = ("index_name", "key", "row")
-
-    def __init__(self, txn_id, index_name, key, row):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
-        self.row = row
+    _fields = (Field("index_name", "index"), Field("key", codec=KEY))
 
     def _extra_repr(self):
         return f", {self.index_name}{self.key!r}"
@@ -205,25 +294,21 @@ class InsertRecord(LogRecord):
     def is_undoable(self):
         return True
 
+
+class InsertRecord(_IndexRecord):
+    """A new key inserted into an index. Undo removes it."""
+
+    type = RecordType.INSERT
+    _fields = (Field("row", codec=ROW),)
+
     def redo(self, target):
         target.recovery_insert(self.index_name, self.key, self.row)
 
     def undo(self, target):
         target.recovery_delete(self.index_name, self.key)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "row": _row_to_plain(self.row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["row"]))
-
-
-class UpdateRecord(LogRecord):
+class UpdateRecord(_IndexRecord):
     """In-place row replacement with before/after images.
 
     This is the *physical* logging strategy. Using it for escrow-locked
@@ -232,20 +317,7 @@ class UpdateRecord(LogRecord):
     """
 
     type = RecordType.UPDATE
-    __slots__ = ("index_name", "key", "before", "after")
-
-    def __init__(self, txn_id, index_name, key, before, after):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
-        self.before = before
-        self.after = after
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
+    _fields = (Field("before", codec=ROW), Field("after", codec=ROW))
 
     def redo(self, target):
         target.recovery_update(self.index_name, self.key, self.after)
@@ -253,43 +325,13 @@ class UpdateRecord(LogRecord):
     def undo(self, target):
         target.recovery_update(self.index_name, self.key, self.before)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "before": _row_to_plain(self.before),
-            "after": _row_to_plain(self.after),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"],
-            d["index"],
-            tuple(d["key"]),
-            _row_from_plain(d["before"]),
-            _row_from_plain(d["after"]),
-        )
-
-
-class DeleteRecord(LogRecord):
+class DeleteRecord(_IndexRecord):
     """Outright key removal (base tables without ghosts). Undo re-inserts
     the before image."""
 
     type = RecordType.DELETE
-    __slots__ = ("index_name", "key", "before")
-
-    def __init__(self, txn_id, index_name, key, before):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
-        self.before = before
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
+    _fields = (Field("before", codec=ROW),)
 
     def redo(self, target):
         target.recovery_delete(self.index_name, self.key)
@@ -297,38 +339,13 @@ class DeleteRecord(LogRecord):
     def undo(self, target):
         target.recovery_insert(self.index_name, self.key, self.before)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "before": _row_to_plain(self.before),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["before"])
-        )
-
-
-class GhostRecord(LogRecord):
+class GhostRecord(_IndexRecord):
     """Logical deletion: the key stays, the record becomes a ghost.
     Undo revives it with the logged row."""
 
     type = RecordType.GHOST
-    __slots__ = ("index_name", "key", "row")
-
-    def __init__(self, txn_id, index_name, key, row):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
-        self.row = row
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
+    _fields = (Field("row", codec=ROW),)
 
     def redo(self, target):
         target.recovery_set_ghost(self.index_name, self.key, True)
@@ -336,37 +353,13 @@ class GhostRecord(LogRecord):
     def undo(self, target):
         target.recovery_revive(self.index_name, self.key, self.row)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "row": _row_to_plain(self.row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["row"]))
-
-
-class ReviveRecord(LogRecord):
+class ReviveRecord(_IndexRecord):
     """An insert that landed on an existing ghost and revived it.
     Undo re-ghosts the record (restoring the ghost's old row image)."""
 
     type = RecordType.REVIVE
-    __slots__ = ("index_name", "key", "new_row", "ghost_row")
-
-    def __init__(self, txn_id, index_name, key, new_row, ghost_row):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
-        self.new_row = new_row
-        self.ghost_row = ghost_row
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
+    _fields = (Field("new_row", codec=ROW), Field("ghost_row", codec=ROW))
 
     def redo(self, target):
         target.recovery_revive(self.index_name, self.key, self.new_row)
@@ -375,44 +368,14 @@ class ReviveRecord(LogRecord):
         target.recovery_update(self.index_name, self.key, self.ghost_row)
         target.recovery_set_ghost(self.index_name, self.key, True)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "new_row": _row_to_plain(self.new_row),
-            "ghost_row": _row_to_plain(self.ghost_row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"],
-            d["index"],
-            tuple(d["key"]),
-            _row_from_plain(d["new_row"]),
-            _row_from_plain(d["ghost_row"]),
-        )
-
-
-class CleanupRecord(LogRecord):
+class CleanupRecord(_IndexRecord):
     """Physical removal of a ghost by the cleaner (a system transaction).
     Undo re-inserts the ghost — needed only if the system transaction
     itself rolls back, which is rare but possible."""
 
     type = RecordType.CLEANUP
-    __slots__ = ("index_name", "key", "ghost_row")
-
-    def __init__(self, txn_id, index_name, key, ghost_row):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
-        self.ghost_row = ghost_row
-
-    def _extra_repr(self):
-        return f", {self.index_name}{self.key!r}"
-
-    def is_undoable(self):
-        return True
+    _fields = (Field("ghost_row", codec=ROW),)
 
     def redo(self, target):
         target.recovery_delete(self.index_name, self.key)
@@ -420,21 +383,8 @@ class CleanupRecord(LogRecord):
     def undo(self, target):
         target.recovery_insert(self.index_name, self.key, self.ghost_row, is_ghost=True)
 
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "ghost_row": _row_to_plain(self.ghost_row),
-        }
 
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(
-            d["txn_id"], d["index"], tuple(d["key"]), _row_from_plain(d["ghost_row"])
-        )
-
-
-class EscrowDeltaRecord(LogRecord):
+class EscrowDeltaRecord(_IndexRecord):
     """Logical logging of a commutative counter update.
 
     ``deltas`` maps column name -> signed amount. Redo adds the deltas to
@@ -444,19 +394,10 @@ class EscrowDeltaRecord(LogRecord):
     """
 
     type = RecordType.ESCROW_DELTA
-    __slots__ = ("index_name", "key", "deltas")
-
-    def __init__(self, txn_id, index_name, key, deltas):
-        super().__init__(txn_id)
-        self.index_name = index_name
-        self.key = key
-        self.deltas = dict(deltas)
+    _fields = (Field("deltas", codec=DICT),)
 
     def _extra_repr(self):
         return f", {self.index_name}{self.key!r} {self.deltas!r}"
-
-    def is_undoable(self):
-        return True
 
     def redo(self, target):
         target.recovery_escrow_apply(self.index_name, self.key, self.deltas)
@@ -464,17 +405,6 @@ class EscrowDeltaRecord(LogRecord):
     def undo(self, target):
         negated = {c: -d for c, d in self.deltas.items()}
         target.recovery_escrow_apply(self.index_name, self.key, negated)
-
-    def _payload(self):
-        return {
-            "index": self.index_name,
-            "key": list(self.key),
-            "deltas": dict(self.deltas),
-        }
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["index"], tuple(d["key"]), d["deltas"])
 
 
 class CounterImageRecord(UpdateRecord):
@@ -491,7 +421,6 @@ class CounterImageRecord(UpdateRecord):
     """
 
     type = RecordType.COUNTER_IMAGE
-    __slots__ = ()
 
 
 class CompensationRecord(LogRecord):
@@ -499,38 +428,23 @@ class CompensationRecord(LogRecord):
 
     ``undo_next_lsn`` points at the next record of the same transaction
     still awaiting undo, so rollback never repeats work after a crash.
-    The CLR embeds the compensated record; *redoing the CLR applies that
-    record's undo* — for escrow deltas this stays relative (-delta), for
-    physical records it restores the before image.
+    The CLR embeds the compensated record (``action``); *redoing the CLR
+    applies that record's undo* — for escrow deltas this stays relative
+    (-delta), for physical records it restores the before image.
     """
 
     type = RecordType.CLR
-    __slots__ = ("compensated_lsn", "undo_next_lsn", "action")
-
-    def __init__(self, txn_id, compensated_lsn, undo_next_lsn, action):
-        super().__init__(txn_id)
-        self.compensated_lsn = compensated_lsn
-        self.undo_next_lsn = undo_next_lsn
-        self.action = action  # the compensated LogRecord (embedded copy)
+    _fields = (
+        Field("compensated_lsn"),
+        Field("undo_next_lsn"),
+        Field("action", codec=RECORD),
+    )
 
     def _extra_repr(self):
         return f", compensates={self.compensated_lsn}"
 
     def redo(self, target):
         self.action.undo(target)
-
-    def _payload(self):
-        action_dict = self.action.to_dict()
-        return {
-            "compensated_lsn": self.compensated_lsn,
-            "undo_next_lsn": self.undo_next_lsn,
-            "action": action_dict,
-        }
-
-    @classmethod
-    def _from_payload(cls, d):
-        action = LogRecord.from_dict(d["action"])
-        return cls(d["txn_id"], d["compensated_lsn"], d["undo_next_lsn"], action)
 
 
 class PrepareRecord(LogRecord):
@@ -545,25 +459,15 @@ class PrepareRecord(LogRecord):
     """
 
     type = RecordType.PREPARE
-    __slots__ = ("gid",)
-
-    def __init__(self, txn_id, gid):
-        super().__init__(txn_id)
-        self.gid = gid
+    _fields = (Field("gid"),)
 
     def _extra_repr(self):
         return f", gid={self.gid!r}"
 
-    def _payload(self):
-        return {"gid": self.gid}
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["txn_id"], d["gid"])
-
 
 class DecisionRecord(LogRecord):
-    """The coordinator's phase-2 outcome for global transaction ``gid``.
+    """The coordinator's phase-2 outcome (``decision``: ``"commit"`` or
+    ``"abort"``) for global transaction ``gid``.
 
     Lives only in the coordinator's decision log (never in a partition
     WAL); ``txn_id`` is None because the record belongs to the global
@@ -573,35 +477,19 @@ class DecisionRecord(LogRecord):
     """
 
     type = RecordType.DECISION
-    __slots__ = ("gid", "decision", "participants")
-
-    def __init__(self, gid, decision, participants):
-        super().__init__(txn_id=None)
-        self.gid = gid
-        self.decision = decision  # "commit" | "abort"
-        self.participants = list(participants)
+    _takes_txn_id = False
+    _fields = (Field("gid"), Field("decision"), Field("participants", codec=LIST))
 
     def _extra_repr(self):
         return f", gid={self.gid!r}, decision={self.decision}"
-
-    def _payload(self):
-        return {
-            "gid": self.gid,
-            "decision": self.decision,
-            "participants": list(self.participants),
-        }
-
-    @classmethod
-    def _from_payload(cls, d):
-        return cls(d["gid"], d["decision"], d["participants"])
 
 
 class CheckpointRecord(LogRecord):
     """A checkpoint, in one of two flavours (``kind``):
 
-    * ``"sharp"`` — the active-transaction table plus an opaque snapshot
-      handle holding every index's full contents; recovery restores the
-      snapshot and replays only the suffix.
+    * ``"sharp"`` — the active-transaction table (``txn_id -> last_lsn``)
+      plus an opaque snapshot handle holding every index's full contents;
+      recovery restores the snapshot and replays only the suffix.
     * ``"fuzzy"`` — the ARIES checkpoint: the active-transaction table
       plus the **dirty-page table** (``page_id -> recLSN``) as it stood
       at the checkpoint, with *no* data snapshot. Analysis starts just
@@ -610,49 +498,14 @@ class CheckpointRecord(LogRecord):
     """
 
     type = RecordType.CHECKPOINT
-    __slots__ = ("active_txns", "snapshot", "dirty_pages", "kind")
-
-    def __init__(self, active_txns, snapshot=None, dirty_pages=None,
-                 kind="sharp"):
-        super().__init__(txn_id=None)
-        self.active_txns = dict(active_txns)  # txn_id -> last_lsn
-        self.snapshot = snapshot
-        self.dirty_pages = dict(dirty_pages or {})  # page_id -> recLSN
-        self.kind = kind
+    _takes_txn_id = False
+    _fields = (
+        Field("active_txns", codec=INT_KEYED),
+        Field("snapshot", default=None),
+        Field("dirty_pages", codec=INT_KEYED, default=None),
+        Field("kind", default="sharp"),
+    )
 
     def _extra_repr(self):
         return f", kind={self.kind}, active={sorted(self.active_txns)}"
 
-    def _payload(self):
-        return {
-            "active_txns": {str(k): v for k, v in self.active_txns.items()},
-            "snapshot": self.snapshot,
-            "dirty_pages": {str(k): v for k, v in self.dirty_pages.items()},
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def _from_payload(cls, d):
-        active = {int(k): v for k, v in d["active_txns"].items()}
-        dirty = {int(k): v for k, v in d.get("dirty_pages", {}).items()}
-        return cls(active, d["snapshot"], dirty, d.get("kind", "sharp"))
-
-
-_RECORD_CLASSES = {
-    RecordType.BEGIN: BeginRecord,
-    RecordType.COMMIT: CommitRecord,
-    RecordType.ABORT: AbortRecord,
-    RecordType.END: EndRecord,
-    RecordType.INSERT: InsertRecord,
-    RecordType.UPDATE: UpdateRecord,
-    RecordType.DELETE: DeleteRecord,
-    RecordType.GHOST: GhostRecord,
-    RecordType.REVIVE: ReviveRecord,
-    RecordType.CLEANUP: CleanupRecord,
-    RecordType.ESCROW_DELTA: EscrowDeltaRecord,
-    RecordType.COUNTER_IMAGE: CounterImageRecord,
-    RecordType.CLR: CompensationRecord,
-    RecordType.CHECKPOINT: CheckpointRecord,
-    RecordType.PREPARE: PrepareRecord,
-    RecordType.DECISION: DecisionRecord,
-}

@@ -337,8 +337,6 @@ def _prepared_on_backchain(log, last_lsn):
     lsn = last_lsn
     while lsn is not None:
         record = log.record_at(lsn)
-        if record is None:
-            break
         if isinstance(record, PrepareRecord):
             return True
         lsn = record.prev_lsn

@@ -253,26 +253,21 @@ def load_segments(directory, checksums=True):
     dropped = 0
     broken = False
     expected_lsn = floor["first_lsn"] if floor is not None else 1
+    chain = []
     for number, path in files:
         header, records, ok = _read_segment(path)
         if broken or not ok or header["first_lsn"] != expected_lsn:
             broken = True
             dropped += max(len(records), 1)
             continue
-        for d in records:
-            record = LogRecord.from_dict(d)
-            manager._records.append(record)
-            if record.txn_id is not None:
-                manager._txn_last_lsn[record.txn_id] = record.lsn
+        chain.extend(LogRecord.from_dict(d) for d in records)
         if records:
             expected_lsn = records[-1]["lsn"] + 1
     if floor is not None and len(files) < floor["segments"]:
         # each missing segment held at least one record
         dropped += floor["segments"] - len(files)
     manager.undecodable_tail = dropped
-    if manager._records:
-        manager._next_lsn = manager._records[-1].lsn + 1
-        manager.flushed_lsn = manager._records[-1].lsn
+    manager.restore(chain)
     return manager
 
 

@@ -16,6 +16,7 @@ import repro.storage.btree
 import repro.storage.bufferpool
 import repro.storage.heap
 import repro.storage.pages
+import repro.wal.records
 import repro.wal.segments
 
 MODULES = [
@@ -30,6 +31,7 @@ MODULES = [
     repro.storage.bufferpool,
     repro.storage.heap,
     repro.storage.pages,
+    repro.wal.records,
     repro.wal.segments,
 ]
 
